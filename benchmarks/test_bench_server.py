@@ -9,11 +9,14 @@ thread pool.  Two gates (hard outside smoke mode):
 * sustained accepted submissions/sec >= ``MIN_SUBMISSIONS_PER_SEC``;
 * read p99 latency < ``MAX_READ_P99_S``.
 
-Both thresholds are deliberately loose for shared CI runners — the
-gate exists to catch order-of-magnitude regressions (an accidental
+The throughput floor is deliberately loose for shared CI runners — it
+exists to catch order-of-magnitude regressions (an accidental
 per-request tree rebuild, a lock held across a socket write), not to
-benchmark the host.  The artifact also records the server's STH/proof
-memo hit rate, which must be doing real work under a read-heavy storm.
+benchmark the host.  The p99 ceiling sits below the ~1 s a client
+waits for a SYN retransmit, so a listen backlog that overflows under
+the storm's connection burst fails it.  The artifact also records the
+server's STH/proof memo hit rate, which must be doing real work under
+a read-heavy storm.
 """
 
 from conftest import record_artifact
@@ -42,7 +45,7 @@ CONFIG = LoadStormConfig(
 )
 WORKERS = 8
 MIN_SUBMISSIONS_PER_SEC = 20.0
-MAX_READ_P99_S = 2.0
+MAX_READ_P99_S = 0.25
 MIN_MEMO_HIT_RATE = 0.25
 
 
@@ -95,7 +98,7 @@ def test_bench_log_server_storm(request):
         )
         assert report.read_p99 < MAX_READ_P99_S, (
             f"read p99 {report.read_p99:.3f}s exceeds the "
-            f"{MAX_READ_P99_S:.1f}s ceiling"
+            f"{MAX_READ_P99_S:.2f}s ceiling"
         )
         assert hit_rate >= MIN_MEMO_HIT_RATE, (
             f"memo hit rate {hit_rate:.1%} under {MIN_MEMO_HIT_RATE:.0%} — "
@@ -110,7 +113,7 @@ def test_bench_log_server_storm(request):
         f"  memo         {memo['hits']} hits / {memo['misses']} misses "
         f"({hit_rate:.0%} hit rate)",
         f"  gates        >= {MIN_SUBMISSIONS_PER_SEC:.0f} subs/s, "
-        f"p99 < {MAX_READ_P99_S:.1f}s, memo >= {MIN_MEMO_HIT_RATE:.0%}",
+        f"p99 < {MAX_READ_P99_S:.2f}s, memo >= {MIN_MEMO_HIT_RATE:.0%}",
     ]
     record_artifact(
         "server",

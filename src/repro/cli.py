@@ -760,6 +760,7 @@ def cmd_lifecycle(args) -> str:
             tracer=tracer,
         )
         monitor.poll(transport, datetime.now(timezone.utc))
+        transport.close()
     # Ship every storm worker's client spans home: record_remote files
     # them on the coordinating tracer *and* re-emits them as ``span``
     # events, so the event log is the complete cross-process record.

@@ -230,6 +230,10 @@ class HttpTransport(LogTransport):
             )
         self.page_size = page_size
 
+    def close(self) -> None:
+        """Close the client's persistent connections."""
+        self.client.close()
+
     def bytes_fetched(self) -> int:
         return self.client.bytes_received
 

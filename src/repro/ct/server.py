@@ -65,6 +65,7 @@ import threading
 import time
 from collections import OrderedDict
 from datetime import datetime, timezone
+from http.client import HTTPConnection, RemoteDisconnected
 from http.server import BaseHTTPRequestHandler
 from typing import (
     TYPE_CHECKING,
@@ -77,9 +78,7 @@ from typing import (
     Tuple,
     Union,
 )
-from urllib.error import HTTPError
 from urllib.parse import parse_qs, quote, urlsplit
-from urllib.request import Request, urlopen
 
 from repro.ct.log import (
     BatchDigest,
@@ -914,6 +913,13 @@ class LogServer:
 class _LogServerHandler(BaseHTTPRequestHandler):
     server_version = "repro-ct-log/1"
     protocol_version = "HTTP/1.1"
+    #: Without it, a kept-alive reply's header and body writes meet
+    #: Nagle plus delayed ACK: ~40 ms per read.
+    disable_nagle_algorithm = True
+    #: Seconds a connection may idle (or a request trickle in).
+    timeout = 15.0
+    #: Largest request body; a precertificate chain is a few KB.
+    MAX_BODY_BYTES = 1 << 20
 
     def log_message(self, *args: object) -> None:  # middleware logs instead
         pass
@@ -921,17 +927,34 @@ class _LogServerHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         owner: LogServer = self.server.owner  # type: ignore[attr-defined]
         parts = urlsplit(self.path)
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        client = self.headers.get("X-Repro-Client", "") or ""
-        traceparent = self.headers.get(TRACEPARENT_HEADER, "") or ""
-        status, payload, _ = owner.handle_request(
-            method, parts.path, parts.query, body, client, traceparent
-        )
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if 0 <= length <= self.MAX_BODY_BYTES:
+            body = self.rfile.read(length) if length else b""
+            client = self.headers.get("X-Repro-Client", "") or ""
+            traceparent = self.headers.get(TRACEPARENT_HEADER, "") or ""
+            status, payload, _ = owner.handle_request(
+                method, parts.path, parts.query, body, client, traceparent
+            )
+        else:
+            # Whatever body follows would desynchronise the next request
+            # on this connection: answer, then hang up.
+            self.close_connection = True
+            status = 400 if length < 0 else 413
+            message = (
+                "invalid Content-Length"
+                if length < 0
+                else f"request body over {self.MAX_BODY_BYTES} bytes"
+            )
+            payload = {"error": message, "code": status}
         data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -965,6 +988,14 @@ class LogClient:
     error responses — the cost accounting the light-weight monitor
     benchmark gates on.
 
+    Connections are persistent and pooled: a call borrows an idle one,
+    so a thread reuses one connection and N concurrent threads hold at
+    most N.  A call whose *reused* connection the server has closed is
+    sent once more on a fresh one (safe for ``add-pre-chain``: the log
+    deduplicates resubmissions); errors on a fresh connection raise as
+    is, e.g. ``ConnectionRefusedError``.  :meth:`close` (or a ``with``
+    block) closes the idle connections.
+
     With a ``tracer`` attached, every call runs under an
     ``http.<endpoint>`` client span whose context is injected as the
     ``X-Repro-Traceparent`` header, so the server's span joins this
@@ -985,6 +1016,23 @@ class LogClient:
         self.tracer = tracer
         self.requests = 0
         self.bytes_received = 0
+        self._url = urlsplit(self.base_url)
+        # LIFO, so a lone thread keeps reusing its warm connection.
+        self._idle: List[HTTPConnection] = []
+        self._lock = threading.Lock()  # the pool and the wire ledger
+
+    def close(self) -> None:
+        """Close the idle connections (a later call reconnects)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "LogClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _call(
         self,
@@ -1014,12 +1062,12 @@ class LogClient:
         post_body: Optional[Mapping[str, object]] = None,
         traceparent: str = "",
     ) -> Dict[str, object]:
-        url = f"{self.base_url}/ct/v1/{endpoint}"
+        path = f"{self._url.path}/ct/v1/{endpoint}"
         if params:
             query = "&".join(
                 f"{key}={_quote(str(value))}" for key, value in params.items()
             )
-            url = f"{url}?{query}"
+            path = f"{path}?{query}"
         data = None
         headers = {}
         if post_body is not None:
@@ -1029,22 +1077,41 @@ class LogClient:
             headers["X-Repro-Client"] = self.client_id
         if traceparent:
             headers[TRACEPARENT_HEADER] = traceparent
-        request = Request(url, data=data, headers=headers)
-        self.requests += 1
-        try:
-            with urlopen(request, timeout=self.timeout) as response:
-                raw = response.read()
-                self.bytes_received += len(raw)
-                return json.loads(raw.decode("utf-8"))
-        except HTTPError as exc:
-            raw = b""
+        with self._lock:
+            self.requests += 1
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = HTTPConnection(
+                self._url.hostname, self._url.port, timeout=self.timeout
+            )
+        while True:
+            reused = connection.sock is not None
             try:
-                raw = exc.read()
-                body = json.loads(raw.decode("utf-8"))
-            except Exception:
-                body = {"error": f"HTTP {exc.code}"}
+                connection.request(
+                    "GET" if data is None else "POST", path, data, headers
+                )
+                response = connection.getresponse()
+                status, raw = response.status, response.read()
+                break
+            except (RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+                connection.close()
+                if not reused:
+                    raise
+                # The server closed a kept-alive connection: retry once;
+                # the closed connection reopens fresh.
+            except BaseException:
+                connection.close()
+                raise
+        with self._lock:
+            self._idle.append(connection)
             self.bytes_received += len(raw)
-            raise LogClientError(exc.code, body) from None
+        if 200 <= status < 300:
+            return json.loads(raw.decode("utf-8"))
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except Exception:
+            body = {"error": f"HTTP {status}"}
+        raise LogClientError(status, body)
 
     # -- RFC 6962 calls ------------------------------------------------------
 

@@ -16,9 +16,48 @@ properties; the handler class reaches its owner back through
 
 from __future__ import annotations
 
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Type
+from typing import Optional, Set, Type
+
+
+class _Server(ThreadingHTTPServer):
+    """A listen backlog deep enough for connection bursts (the stdlib's 5
+    overflows, and an overflowed SYN waits ~1 s to retransmit); closing
+    hangs up kept-alive connections; peer resets are not errors."""
+
+    request_queue_size = 128
+    daemon_threads = True
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        self._open: Set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request: socket.socket, client_address: object) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request: socket.socket, client_address: object) -> None:
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 class HttpServerHandle:
@@ -51,8 +90,7 @@ class HttpServerHandle:
         port: int = 0,
         thread_name: str = "repro-http",
     ) -> None:
-        self._httpd = ThreadingHTTPServer((host, port), handler_cls)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), handler_cls)
         self._httpd.owner = owner  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
         self._thread_name = thread_name
@@ -90,7 +128,8 @@ class HttpServerHandle:
         return self
 
     def stop(self) -> None:
-        """Shut down and release the socket; idempotent."""
+        """Shut down, release the socket and hang up kept-alive
+        connections; idempotent."""
         if self._thread is None:
             return
         self._httpd.shutdown()

@@ -440,6 +440,7 @@ def _execute_plan(
                 sth_body,
             )
         )
+    client.close()
     if tracer is not None:
         result.spans = tracer.to_records()
     return result

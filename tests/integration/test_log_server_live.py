@@ -9,8 +9,13 @@ cleanly under both executor modes of CI's matrix.
 """
 
 import base64
+import http.client
 import json
 import os
+import socket
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 from datetime import timedelta
@@ -19,18 +24,24 @@ import pytest
 
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
-from repro.ct.merkle import leaf_hash, verify_inclusion_proof
+from repro.ct.merkle import (
+    leaf_hash,
+    verify_consistency_proof,
+    verify_inclusion_proof,
+)
 from repro.ct.server import (
     HarvestedLog,
     HarvestMismatchError,
     LogClient,
     LogClientError,
     LogServer,
+    _LogServerHandler,
     harvest_log,
 )
 from repro.ct.storage import dump_log
 from repro.dataset import CertCorpus
 from repro.obs import EventLog, MetricsRegistry
+from repro.resilience import DEFAULT_RETRYABLE
 from repro.util.timeutil import utc_datetime
 from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
@@ -276,3 +287,210 @@ def test_storm_burst_under_both_executors(executor):
         if key.startswith("log_server.responses")
     )
     assert served == total_ops == events.emitted
+
+
+# -- persistent connections ----------------------------------------------------
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Count TCP connects made through ``http.client``."""
+    counter = {"n": 0}
+    original = http.client.HTTPConnection.connect
+
+    def counting(self):
+        counter["n"] += 1
+        return original(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return counter
+
+
+def test_calls_on_one_client_share_one_connection(connects):
+    log = _build_log()
+    with LogServer(log, clock=lambda: NOW) as server:
+        with LogClient(server.log_url(log.name)) as client:
+            for _ in range(5):
+                client.get_sth()
+                client.get_entries(0, 11)
+                client.get_proof_by_hash(leaf_hash(log.entries[3].leaf_input), 12)
+                client.get_sth_consistency(4, 12)
+            (precert,), issuer_key_hash = _precerts(1, "keepalive")
+            client.add_pre_chain(precert, issuer_key_hash)
+    assert client.requests == 21
+    assert connects["n"] == 1
+
+
+def test_error_answers_do_not_poison_a_kept_alive_connection(connects):
+    log = _build_log()
+    with LogServer(log, clock=lambda: NOW) as server:
+        with LogClient(server.log_url(log.name)) as client:
+            for _ in range(3):
+                with pytest.raises(LogClientError) as bad_range:
+                    client.get_entries(9, 2)
+                assert bad_range.value.status == 400
+                assert "invalid range" in bad_range.value.body["error"]
+                with pytest.raises(LogClientError) as unknown:
+                    client.get_proof_by_hash(b"\0" * 32, 12)
+                assert unknown.value.status == 404
+                assert unknown.value.body["code"] == 404
+                entries = client.get_entries(0, 11)
+                assert entries == log.entries
+    assert client.requests == 9
+    assert connects["n"] == 1
+
+
+def test_reconnects_once_after_the_server_drops_an_idle_connection(
+    connects, monkeypatch
+):
+    monkeypatch.setattr(_LogServerHandler, "timeout", 0.2)
+    log = _build_log()
+    with LogServer(log, clock=lambda: NOW) as server:
+        with LogClient(server.log_url(log.name)) as client:
+            first = client.get_sth()
+            time.sleep(0.6)  # the handler times the idle connection out
+            assert client.get_sth() == first
+    # The stale socket was retried on a fresh one: two connects, but the
+    # ledger counts one request per call, not per attempt.
+    assert connects["n"] == 2
+    assert client.requests == 2
+
+
+def test_refused_connection_is_a_retryable_connection_error(connects):
+    log = _build_log(entries=2)
+    with LogServer(log, clock=lambda: NOW) as server:
+        client = LogClient(server.log_url(log.name))
+        client.get_sth()
+    # The stopped server hung up the kept-alive connection; the one
+    # retry finds nothing listening, and a fresh connection is never
+    # retried.
+    with pytest.raises(ConnectionRefusedError) as excinfo:
+        client.get_sth()
+    assert isinstance(excinfo.value, DEFAULT_RETRYABLE)
+    assert connects["n"] == 2
+    connects["n"] = 0
+    with pytest.raises(ConnectionRefusedError):
+        client.get_sth()
+    assert connects["n"] == 1
+    assert client.requests == 3
+
+
+def _raw_exchange(server, request):
+    """Send raw bytes; return (status, headers, json body) once the
+    server has closed the connection (a read timeout fails the test)."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [
+        ("abc", 400),
+        ("-5", 400),
+        (str(_LogServerHandler.MAX_BODY_BYTES + 1), 413),
+    ],
+)
+def test_bad_or_oversized_content_length_gets_json_error_and_hangup(
+    length, status
+):
+    log = _build_log(entries=2)
+    with LogServer(log, clock=lambda: NOW) as server:
+        got, headers, body = _raw_exchange(
+            server,
+            (
+                "POST /ct/v1/add-pre-chain HTTP/1.1\r\n"
+                "Host: log.example\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            ).encode("ascii"),
+        )
+        assert got == status
+        assert body["code"] == status and body["error"]
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        # The server is unharmed: a well-formed request still answers.
+        assert LogClient(server.url).get_sth()["tree_size"] == 2
+    assert log.size == 2
+
+
+def test_threads_sharing_one_client_get_verified_answers(connects):
+    log = _build_log()
+    root = log.tree.root()
+    failures = []
+    with LogServer(log, clock=lambda: NOW) as server:
+        client = LogClient(server.log_url(log.name))
+
+        def worker(offset):
+            try:
+                for round_ in range(10):
+                    index = (offset + round_) % 12
+                    leaf = log.entries[index].leaf_input
+                    got, path = client.get_proof_by_hash(leaf_hash(leaf), 12)
+                    assert got == index
+                    assert verify_inclusion_proof(leaf, index, 12, path, root)
+                    proof = client.get_sth_consistency(index + 1, 12)
+                    assert verify_consistency_proof(
+                        index + 1, 12, log.tree.root(index + 1), root, proof
+                    )
+            except Exception as exc:  # surfaced below, on the main thread
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k * 3,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the ledger updates hard
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        client.close()
+    assert failures == []
+    assert client.requests == 80
+    assert 1 <= connects["n"] <= 4  # at most one connection per thread
+
+
+def test_short_lived_threads_reuse_one_pooled_connection(connects):
+    """A fresh thread per round (a thread pool per poll round) still
+    reuses the client's one idle connection."""
+    log = _build_log(entries=4)
+    with LogServer(log, clock=lambda: NOW) as server:
+        with LogClient(server.log_url(log.name)) as client:
+            for _ in range(5):
+                thread = threading.Thread(target=client.get_entries, args=(0, 3))
+                thread.start()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert client.get_sth()["tree_size"] == 4
+    assert client.requests == 6
+    assert connects["n"] == 1
+
+
+def test_bytes_received_ledger_is_unchanged_by_keep_alive():
+    """Body bytes only, counted once per call: the same total the
+    connection-per-call client recorded for this call sequence (the
+    monitor benchmarks gate on this ledger)."""
+    log = _build_log()
+    with LogServer(log, clock=lambda: NOW) as server:
+        with LogClient(server.log_url(log.name)) as client:
+            client.get_sth()
+            client.get_entries(0, 3)
+            client.get_proof_by_hash(leaf_hash(log.entries[5].leaf_input), 12)
+            client.get_sth_consistency(3, 12)
+            with pytest.raises(LogClientError):
+                client.get_entries(9, 2)
+            with pytest.raises(LogClientError):
+                client.get_proof_by_hash(b"\0" * 32, 12)
+    assert client.requests == 6
+    assert client.bytes_received == 5412
