@@ -65,8 +65,7 @@ import threading
 import time
 from collections import OrderedDict
 from datetime import datetime, timezone
-from http.client import HTTPConnection, RemoteDisconnected
-from http.server import BaseHTTPRequestHandler
+from http.client import RemoteDisconnected
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -94,7 +93,7 @@ from repro.ct.sct import SctEntryType, SignedCertificateTimestamp
 from repro.ct.storage import certificate_from_dict, certificate_to_dict
 from repro.obs.trace import SpanTracer
 from repro.obs.tracectx import TRACEPARENT_HEADER, TraceContext
-from repro.util.httpd import HttpServerHandle
+from repro.util.httpd import ClientConnection, FramedRequestHandler, HttpServerHandle
 from repro.util.timeutil import from_timestamp_ms, timestamp_ms
 
 if TYPE_CHECKING:  # avoid a runtime import cycle through repro.dataset
@@ -910,53 +909,39 @@ class LogServer:
         }
 
 
-class _LogServerHandler(BaseHTTPRequestHandler):
+_TRACEPARENT = TRACEPARENT_HEADER.lower()
+
+
+class _LogServerHandler(FramedRequestHandler):
     server_version = "repro-ct-log/1"
     protocol_version = "HTTP/1.1"
-    #: Without it, a kept-alive reply's header and body writes meet
-    #: Nagle plus delayed ACK: ~40 ms per read.
+    #: Without it, a kept-alive reply meets Nagle plus delayed ACK.
     disable_nagle_algorithm = True
     #: Seconds a connection may idle (or a request trickle in).
     timeout = 15.0
     #: Largest request body; a precertificate chain is a few KB.
     MAX_BODY_BYTES = 1 << 20
 
-    def log_message(self, *args: object) -> None:  # middleware logs instead
-        pass
-
     def _dispatch(self, method: str) -> None:
         owner: LogServer = self.server.owner  # type: ignore[attr-defined]
-        parts = urlsplit(self.path)
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(self.headers.get("content-length") or 0)
         except ValueError:
             length = -1
-        if 0 <= length <= self.MAX_BODY_BYTES:
-            body = self.rfile.read(length) if length else b""
-            client = self.headers.get("X-Repro-Client", "") or ""
-            traceparent = self.headers.get(TRACEPARENT_HEADER, "") or ""
-            status, payload, _ = owner.handle_request(
-                method, parts.path, parts.query, body, client, traceparent
-            )
-        else:
-            # Whatever body follows would desynchronise the next request
-            # on this connection: answer, then hang up.
-            self.close_connection = True
-            status = 400 if length < 0 else 413
-            message = (
-                "invalid Content-Length"
-                if length < 0
-                else f"request body over {self.MAX_BODY_BYTES} bytes"
-            )
-            payload = {"error": message, "code": status}
-        data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+        # Whatever body follows a bad length would desynchronise the
+        # next request on this connection: send_error hangs up.
+        if length < 0:
+            self.send_error(400, "invalid Content-Length")
+            return
+        if length > self.MAX_BODY_BYTES:
+            self.send_error(413, f"request body over {self.MAX_BODY_BYTES} bytes")
+            return
+        headers, parts = self.headers, urlsplit(self.path)
+        status, payload, _ = owner.handle_request(
+            method, parts.path, parts.query, self.rfile.read(length) if length else b"",
+            headers.get("x-repro-client", ""), headers.get(_TRACEPARENT, ""),
+        )
+        self.reply(status, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
 
     def do_GET(self) -> None:
         self._dispatch("GET")
@@ -988,7 +973,8 @@ class LogClient:
     error responses — the cost accounting the light-weight monitor
     benchmark gates on.
 
-    Connections are persistent and pooled: a call borrows an idle one,
+    Connections (:class:`repro.util.httpd.ClientConnection`) are
+    persistent and pooled: a call borrows an idle one,
     so a thread reuses one connection and N concurrent threads hold at
     most N.  A call whose *reused* connection the server has closed is
     sent once more on a fresh one (safe for ``add-pre-chain``: the log
@@ -1012,13 +998,15 @@ class LogClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        if client_id and not client_id.isprintable():  # it goes out as a header line
+            raise ValueError(f"client_id {client_id!r} is not a printable header value")
         self.client_id = client_id
         self.tracer = tracer
         self.requests = 0
         self.bytes_received = 0
         self._url = urlsplit(self.base_url)
         # LIFO, so a lone thread keeps reusing its warm connection.
-        self._idle: List[HTTPConnection] = []
+        self._idle: List[ClientConnection] = []
         self._lock = threading.Lock()  # the pool and the wire ledger
 
     def close(self) -> None:
@@ -1068,30 +1056,30 @@ class LogClient:
                 f"{key}={_quote(str(value))}" for key, value in params.items()
             )
             path = f"{path}?{query}"
-        data = None
-        headers = {}
+        lines = [
+            f"{'GET' if post_body is None else 'POST'} {path} HTTP/1.1",
+            f"Host: {self._url.netloc}",
+        ]
+        if self.client_id:
+            lines.append(f"X-Repro-Client: {self.client_id}")
+        if traceparent:
+            lines.append(f"{TRACEPARENT_HEADER}: {traceparent}")
+        data = b""
         if post_body is not None:
             data = json.dumps(post_body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        if self.client_id:
-            headers["X-Repro-Client"] = self.client_id
-        if traceparent:
-            headers[TRACEPARENT_HEADER] = traceparent
+            lines += ["Content-Type: application/json", f"Content-Length: {len(data)}"]
+        message = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + data
         with self._lock:
             self.requests += 1
             connection = self._idle.pop() if self._idle else None
         if connection is None:
-            connection = HTTPConnection(
+            connection = ClientConnection(
                 self._url.hostname, self._url.port, timeout=self.timeout
             )
         while True:
             reused = connection.sock is not None
             try:
-                connection.request(
-                    "GET" if data is None else "POST", path, data, headers
-                )
-                response = connection.getresponse()
-                status, raw = response.status, response.read()
+                status, raw, keep_alive = connection.exchange(message)
                 break
             except (RemoteDisconnected, ConnectionResetError, BrokenPipeError):
                 connection.close()
@@ -1102,8 +1090,11 @@ class LogClient:
             except BaseException:
                 connection.close()
                 raise
+        if not keep_alive:
+            connection.close()
         with self._lock:
-            self._idle.append(connection)
+            if keep_alive:
+                self._idle.append(connection)
             self.bytes_received += len(raw)
         if 200 <= status < 300:
             return json.loads(raw.decode("utf-8"))

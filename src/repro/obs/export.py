@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import re
-from http.server import BaseHTTPRequestHandler
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -44,7 +43,7 @@ from typing import (
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.metrics import MetricsSnapshot, Number
-from repro.util.httpd import HttpServerHandle
+from repro.util.httpd import FramedRequestHandler, HttpServerHandle
 
 if TYPE_CHECKING:
     from repro.obs.events import EventLog
@@ -345,11 +344,8 @@ class TelemetryServer:
         return 200, "application/json", json.dumps(body, sort_keys=True) + "\n"
 
 
-class _TelemetryHandler(BaseHTTPRequestHandler):
+class _TelemetryHandler(FramedRequestHandler):
     server_version = "repro-telemetry/1"
-
-    def log_message(self, *args: object) -> None:  # silence stderr
-        pass
 
     def do_GET(self) -> None:
         telemetry: TelemetryServer = self.server.owner  # type: ignore[attr-defined]
@@ -377,12 +373,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
                 "application/json",
                 json.dumps({"error": repr(exc)}) + "\n",
             )
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        self.reply(status, body.encode("utf-8"), ctype)
 
 
 def parse_exposition(text: str) -> Dict[str, Union[int, float]]:

@@ -19,9 +19,11 @@ import time
 import urllib.error
 import urllib.request
 from datetime import timedelta
+from urllib.parse import urlsplit
 
 import pytest
 
+from repro.ct.auditor import make_split_view_log
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
 from repro.ct.merkle import (
@@ -35,12 +37,13 @@ from repro.ct.server import (
     LogClient,
     LogClientError,
     LogServer,
+    SplitView,
     _LogServerHandler,
     harvest_log,
 )
-from repro.ct.storage import dump_log
+from repro.ct.storage import certificate_to_dict, dump_log
 from repro.dataset import CertCorpus
-from repro.obs import EventLog, MetricsRegistry
+from repro.obs import EventLog, MetricsRegistry, SpanTracer
 from repro.resilience import DEFAULT_RETRYABLE
 from repro.util.timeutil import utc_datetime
 from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
@@ -375,21 +378,49 @@ def test_refused_connection_is_a_retryable_connection_error(connects):
     assert client.requests == 3
 
 
-def _raw_exchange(server, request):
-    """Send raw bytes; return (status, headers, json body) once the
-    server has closed the connection (a read timeout fails the test)."""
-    with socket.create_connection((server.host, server.port), timeout=5) as sock:
-        sock.sendall(request)
-        chunks = []
-        while True:
+def _read_to_close(sock):
+    """Everything the server sends until it hangs up (a read timeout
+    fails the test; a reset after a hang-up with unread input ends it)."""
+    chunks = []
+    while True:
+        try:
             chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    headers = dict(line.split(": ", 1) for line in lines[1:])
-    return int(lines[0].split()[1]), headers, json.loads(body)
+        except ConnectionResetError:
+            break
+        if not chunk:
+            break
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _parse_replies(data):
+    """Split a byte stream into [(status, headers, json body)]."""
+    replies = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        length = int(headers["Content-Length"])
+        body, data = data[:length], data[length:]
+        replies.append((int(lines[0].split()[1]), headers, json.loads(body)))
+    return replies
+
+
+def _raw_replies(server, request):
+    """Send raw bytes; return every reply once the server has closed
+    the connection."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        try:
+            sock.sendall(request)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server answered and hung up before reading it all
+        return _parse_replies(_read_to_close(sock))
+
+
+def _raw_exchange(server, request):
+    """Send raw bytes; return the one (status, headers, json body)."""
+    (reply,) = _raw_replies(server, request)
+    return reply
 
 
 @pytest.mark.parametrize(
@@ -494,3 +525,277 @@ def test_bytes_received_ledger_is_unchanged_by_keep_alive():
                 client.get_proof_by_hash(b"\0" * 32, 12)
     assert client.requests == 6
     assert client.bytes_received == 5412
+
+
+# -- server framing on a hostile wire ------------------------------------------
+
+_GET_STH = "GET /ct/v1/get-sth HTTP/1.1\r\nHost: log.example\r\n"
+
+MALFORMED = {
+    # One word: no HTTP/0.9 fallback (that answered an HTML page).
+    "one-word": (b"GARBAGE\r\n\r\n", 400),
+    "no-version": (b"GET /ct/v1/get-sth\r\n\r\n", 400),
+    "http2": (b"GET /ct/v1/get-sth HTTP/2.0\r\n\r\n", 400),
+    "header-without-colon": ((_GET_STH + "no colon here\r\n\r\n").encode(), 400),
+    # A chunked body is never mistaken for the next request, so the
+    # pipelined get-sth behind it is not answered out of a desync.
+    "chunked": (
+        (
+            "POST /ct/v1/add-pre-chain HTTP/1.1\r\nHost: log.example\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+            + _GET_STH
+            + "\r\n"
+        ).encode(),
+        501,
+    ),
+    "101-headers": (
+        (_GET_STH + "".join(f"X-Pad-{i}: {i}\r\n" for i in range(100)) + "\r\n").encode(),
+        431,
+    ),
+    "long-header-line": ((_GET_STH + "X-Pad: " + "a" * 65536 + "\r\n\r\n").encode(), 431),
+    "long-request-line": (("GET /" + "a" * 65536 + " HTTP/1.1\r\n\r\n").encode(), 414),
+    "unknown-method": (b"DELETE /ct/v1/get-sth HTTP/1.1\r\nHost: log.example\r\n\r\n", 501),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_request_gets_a_json_error_and_a_hangup(case):
+    request, status = MALFORMED[case]
+    log = _build_log(entries=2)
+    with LogServer(log, clock=lambda: NOW) as server:
+        got, headers, body = _raw_exchange(server, request)
+        assert got == status
+        assert body == {"code": status, "error": body["error"]} and body["error"]
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Server"].startswith("repro-ct-log/1")
+        assert headers["Date"].endswith(" GMT")
+        assert LogClient(server.url).get_sth()["tree_size"] == 2
+    assert log.size == 2
+
+
+def test_fuzzed_connections_leave_no_handler_threads():
+    log = _build_log(entries=2)
+    with LogServer(log, clock=lambda: NOW) as server:
+        baseline = threading.active_count()
+        for request, status in MALFORMED.values():
+            assert _raw_exchange(server, request)[0] == status
+        deadline = time.monotonic() + 5
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == baseline
+
+
+def test_header_names_are_case_insensitive():
+    log = _build_log()
+    twin = make_split_view_log(log, fork_at=6, pad_to=log.size)
+    tracer = SpanTracer(seed=7, name="case")
+    trace_id, span_id = "ab" * 16, "cd" * 8
+    with LogServer(SplitView(log, twin), tracer=tracer) as server:
+        path = urlsplit(server.log_url(log.name)).path + "/ct/v1/get-sth"
+        roots = {}
+        for client in ("browser-0", "browser-1"):
+            ((status, _, body),) = _raw_replies(
+                server,
+                (
+                    f"GET {path} HTTP/1.1\r\nhost: log.example\r\n"
+                    f"x-repro-client: {client}\r\n"
+                    f"x-repro-traceparent: {trace_id}-{span_id}\r\n"
+                    "connection: close\r\n\r\n"
+                ).encode(),
+            )
+            assert status == 200
+            roots[client] = base64.b64decode(body["sha256_root_hash"])
+    assert roots == {"browser-0": log.tree.root(), "browser-1": twin.tree.root()}
+    served = [span for span in tracer.spans if span.name == "server.get-sth"]
+    assert len(served) == 2
+    assert {(s.trace_id, s.parent_span_id) for s in served} == {(trace_id, span_id)}
+
+
+def test_pipelined_requests_get_in_order_replies_on_one_connection():
+    log = _build_log()
+    with LogServer(log, clock=lambda: NOW) as server:
+        replies = _raw_replies(
+            server,
+            (
+                _GET_STH
+                + "\r\n"
+                + "GET /ct/v1/get-entries?start=3&end=3 HTTP/1.1\r\n"
+                + "Host: log.example\r\nConnection: close\r\n\r\n"
+            ).encode(),
+        )
+    (sth_status, sth_headers, sth), (page_status, page_headers, page) = replies
+    assert sth_status == page_status == 200
+    assert "Connection" not in sth_headers
+    assert page_headers["Connection"] == "close"
+    assert sth["tree_size"] == 12
+    assert len(page["entries"]) == 1
+
+
+def test_http10_closes_unless_kept_alive():
+    log = _build_log(entries=2)
+    with LogServer(log, clock=lambda: NOW) as server:
+        (reply,) = _raw_replies(server, b"GET /ct/v1/get-sth HTTP/1.0\r\n\r\n")
+        assert reply[0] == 200 and reply[1]["Connection"] == "close"
+        kept, closed = _raw_replies(
+            server,
+            b"GET /ct/v1/get-sth HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+            b"GET /ct/v1/get-sth HTTP/1.0\r\n\r\n",
+        )
+    assert "Connection" not in kept[1]
+    assert closed[1]["Connection"] == "close"
+    assert kept[2] == closed[2] == reply[2]
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_read():
+    log = _build_log(entries=2)
+    (precert,), issuer_key_hash = _precerts(1, "expect")
+    body = json.dumps(
+        {
+            "chain": [certificate_to_dict(precert)],
+            "issuer_key_hash": base64.b64encode(issuer_key_hash).decode(),
+        }
+    ).encode()
+    with LogServer(log, clock=lambda: NOW) as server:
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(
+                (
+                    "POST /ct/v1/add-pre-chain HTTP/1.1\r\nHost: log.example\r\n"
+                    f"Expect: 100-continue\r\nContent-Length: {len(body)}\r\n"
+                    "Connection: close\r\n\r\n"
+                ).encode()
+            )
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            assert log.size == 2
+            sock.sendall(body)
+            ((status, _, sct),) = _parse_replies(_read_to_close(sock))
+    assert status == 200
+    assert base64.b64decode(sct["id"]) == log.log_id
+    assert log.size == 3
+
+
+# -- client framing against a raw-socket fake log ------------------------------
+
+
+class _FakeLog:
+    """A scripted log on a raw socket.
+
+    The n-th accepted connection answers its requests with the n-th
+    script's raw replies in order; ``None`` reads the request and hangs
+    up without a reply.  A connection hangs up when its script ends,
+    and moves on early if the client hangs up first.
+    """
+
+    def __init__(self, *scripts):
+        self.scripts = scripts
+        self.requests = []
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._sock.getsockname()[1]}"
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        for script in self.scripts:
+            conn, _ = self._sock.accept()
+            with conn, conn.makefile("rb") as reader:
+                for reply in script:
+                    head = reader.readline()
+                    if not head:
+                        break  # the client hung up
+                    while reader.readline() not in (b"\r\n", b""):
+                        pass
+                    self.requests.append(head.split(b" ", 2)[1].decode())
+                    if reply is None:
+                        break
+                    conn.sendall(reply)
+
+    def close(self):
+        self._thread.join(timeout=10)
+        self._sock.close()
+        assert not self._thread.is_alive()
+
+
+def _reply(body=b'{"tree_size": 7}\n', *headers, length=True):
+    head = ["HTTP/1.1 200 OK", "Content-Type: application/json", *headers]
+    if length:
+        head.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+def test_client_reads_a_reply_without_length_to_close_and_never_pools_it(connects):
+    fake = _FakeLog([_reply(length=False)], [_reply()])
+    with LogClient(fake.url) as client:
+        assert client.get_sth() == {"tree_size": 7}
+        assert client._idle == []  # its end was the hang-up
+        assert client.get_sth() == {"tree_size": 7}
+    fake.close()
+    assert connects["n"] == 2
+    assert client.requests == 2
+    assert client.bytes_received == 2 * len(b'{"tree_size": 7}\n')
+
+
+def test_client_honours_connection_close(connects):
+    # Were the close ignored, the second call would reuse the first
+    # connection and get its second reply.
+    fake = _FakeLog([_reply(b'{"n": 1}\n', "Connection: close"), _reply()], [_reply(b'{"n": 2}\n')])
+    with LogClient(fake.url) as client:
+        assert client.get_sth() == {"n": 1}
+        assert client.get_sth() == {"n": 2}
+    fake.close()
+    assert connects["n"] == 2
+    assert fake.requests == ["/ct/v1/get-sth"] * 2
+
+
+def test_client_truncated_body_raises_incomplete_read_without_retry(connects):
+    truncated = _reply()[:-5]
+    fake = _FakeLog([_reply(), truncated], [_reply()])
+    with LogClient(fake.url) as client:
+        client.get_sth()
+        with pytest.raises(http.client.IncompleteRead):
+            client.get_sth()
+        assert connects["n"] == 1  # a reused connection, still not resent
+        assert client.get_sth() == {"tree_size": 7}  # not pooled either
+    fake.close()
+    assert connects["n"] == 2
+    assert client.requests == 3
+    assert len(fake.requests) == 3
+
+
+@pytest.mark.parametrize("status_line", [b"HELLO THERE\r\n", b"HTTP/1.1 OK\r\n", b"\r\n"])
+def test_client_garbage_status_line_raises_bad_status_line(connects, status_line):
+    fake = _FakeLog([_reply(), status_line + b"\r\n"], [_reply()])
+    with LogClient(fake.url) as client:
+        client.get_sth()
+        with pytest.raises(http.client.BadStatusLine) as excinfo:
+            client.get_sth()
+        assert not isinstance(excinfo.value, http.client.RemoteDisconnected)
+        assert connects["n"] == 1
+        client.get_sth()
+    fake.close()
+    assert connects["n"] == 2
+
+
+def test_client_resends_once_when_a_reused_connection_answers_nothing(connects):
+    fake = _FakeLog([_reply(), None], [_reply(b'{"n": 2}\n')])
+    with LogClient(fake.url) as client:
+        client.get_sth()
+        assert client.get_sth() == {"n": 2}
+    fake.close()
+    assert connects["n"] == 2
+    assert client.requests == 2  # one call, two attempts
+    assert len(fake.requests) == 3
+
+
+def test_client_does_not_resend_on_a_fresh_connection(connects):
+    fake = _FakeLog([None])
+    client = LogClient(fake.url)
+    with pytest.raises(http.client.RemoteDisconnected):
+        client.get_sth()
+    fake.close()
+    assert connects["n"] == 1
+    assert client.requests == 1
+
+
+def test_client_id_cannot_smuggle_header_lines():
+    with pytest.raises(ValueError):
+        LogClient("http://127.0.0.1:9", client_id="browser-1\r\nX-Repro-Client: browser-0")
