@@ -51,9 +51,11 @@ TOLERANT_KEY = re.compile(
     re.IGNORECASE,
 )
 
-#: Sidecar top-level keys compared structurally but never by value
-#: (renderings embed the timings as text).
-TEXT_KEYS = ("text",)
+#: Sidecar list keys compared by type but never by value or length:
+#: renderings embed the timings as text, and ``pairs`` holds one entry
+#: per paired repeat a gate ran, which stops at the first pair under
+#: its ceiling, so how many there are is itself a measurement.
+TEXT_KEYS = ("text", "pairs")
 
 
 def _type_name(value: object) -> str:
@@ -99,7 +101,7 @@ def compare(
             )
     elif isinstance(baseline, list):
         if key in TEXT_KEYS:
-            return  # rendered lines embed timings; structure only
+            return  # rendered lines or repeat lists; type only
         if len(baseline) != len(current):
             yield (
                 f"{path}: length changed {len(baseline)} -> {len(current)}"

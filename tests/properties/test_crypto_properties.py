@@ -3,10 +3,23 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.ct.sct import SctEntryType, SignedCertificateTimestamp, encode_sct_list
-from repro.x509.crypto import KeyPair, sign, verify
+from repro.x509.crypto import KeyPair, _encode_digest, sign, verify
 
 KEY = KeyPair.generate("property-test-key", 256)
 OTHER = KeyPair.generate("property-test-other", 256)
+CRT_KEYS = {
+    bits: KeyPair.generate(f"property-crt-{bits}", bits)
+    for bits in (128, 256, 384, 512, 1024)
+}
+
+
+@given(bits=st.sampled_from(sorted(CRT_KEYS)), message=st.binary(max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_crt_sign_equals_full_modulus_exponentiation(bits, message):
+    key = CRT_KEYS[bits]
+    width = (key.n.bit_length() + 7) // 8
+    textbook = pow(_encode_digest(message, key.n), key.d, key.n)
+    assert sign(key, message) == textbook.to_bytes(width, "big")
 
 
 @given(message=st.binary(max_size=200))

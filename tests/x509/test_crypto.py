@@ -1,8 +1,18 @@
 """Tests for the deterministic small-RSA scheme."""
 
+from math import lcm
+
 import pytest
 
 from repro.x509.crypto import KeyPair, sha256, sign, verify
+
+#: ``sign(KeyPair.generate("crt-golden", 512), GOLDEN_MESSAGE)`` as the
+#: full-modulus ``pow(m, d, n)`` signer produced it before CRT signing.
+GOLDEN_MESSAGE = b"certificate transparency: crt golden"
+GOLDEN_SIGNATURE = (
+    "4faa8fefc90e82d338f587e81f29d5fcbeef2b069b591c786b7997e70995ee80"
+    "34df02124b1854eaf119468a3d16dd9035d08c42971c8f64d8a4e8130230e383"
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +91,21 @@ def test_default_bits_is_512():
 
 
 def test_rsa_identity_holds(key):
-    # e*d == 1 mod phi is not directly checkable without p, q — but
-    # sign-then-verify over several messages gives the same assurance.
-    for i in range(5):
-        message = f"message {i}".encode()
-        assert verify(key, message, sign(key, message))
+    assert key.p * key.q == key.n
+    assert key.e * key.d % lcm(key.p - 1, key.q - 1) == 1
+
+
+def test_signature_matches_pre_crt_golden():
+    key = KeyPair.generate("crt-golden", 512)
+    assert sign(key, GOLDEN_MESSAGE).hex() == GOLDEN_SIGNATURE
+
+
+def test_key_identity_ignores_crt_fields():
+    a = KeyPair.generate("seed-a", 256)
+    b = KeyPair.generate("seed-a", 256)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == (
+        f"KeyPair(n={a.n!r}, e={a.e!r}, d={a.d!r}, key_id={a.key_id!r})"
+    )
+    for secret in (a.p, a.q, a.dp, a.dq, a.q_inv):
+        assert str(secret) not in repr(a)
