@@ -92,25 +92,26 @@ def _evolution_run(args):
 
 
 def cmd_fig1a(args) -> str:
-    from repro.pipeline import evolution_growth
+    from repro.pipeline import evolution_sections
 
     run = _evolution_run(args)
-    growth = evolution_growth(run.logs, _engine(args))
+    growth = evolution_sections(run.logs, engine=_engine(args))["growth"]
     return rpt.render_figure1a(growth, weight=run.weight)
 
 
 def cmd_fig1b(args) -> str:
-    from repro.pipeline import evolution_rates
+    from repro.pipeline import evolution_sections
 
     run = _evolution_run(args)
-    return rpt.render_figure1b(evolution_rates(run.logs, _engine(args)))
+    rates = evolution_sections(run.logs, engine=_engine(args))["rates"]
+    return rpt.render_figure1b(rates)
 
 
 def cmd_fig1c(args) -> str:
-    from repro.pipeline import evolution_matrix
+    from repro.pipeline import evolution_sections
 
     run = _evolution_run(args)
-    matrix = evolution_matrix(run.logs, "2018-04", _engine(args))
+    matrix = evolution_sections(run.logs, "2018-04", _engine(args))["matrix"]
     load = evolution.log_load_report(run.logs, "2018-04", matrix=matrix)
     return rpt.render_figure1c(matrix) + "\n\n" + rpt.render_log_load(load)
 

@@ -5,17 +5,20 @@ The paper (Section 6.2) attributes the fastest honeypot reactions to
 all logs and fans entries out to subscribers.  This module implements
 that service shape:
 
-* :class:`CertFeed` tails a set of logs (one cursor per log) and
-  pushes :class:`FeedEvent` items to subscribers;
+* :class:`CertFeed` tails a set of logs (one cursor per log, started
+  at each log's size) and pushes :class:`FeedEvent` items to subscribers;
 * subscribers are plain callables; slow consumers are protected by a
   bounded per-subscriber queue with an explicit drop counter (the
   real CertStream drops messages under backpressure too);
 * :meth:`CertFeed.backfill` replays historical entries to a new
   subscriber, the way monitors bootstrap;
-* polling is fault-tolerant: a log whose ``get_entries`` fails (after
-  the optional :class:`~repro.resilience.RetryPolicy` is exhausted)
-  keeps its cursor where it was — no entry is silently skipped — and
-  per-log error/retry counters are exposed via :meth:`log_health`;
+* polling goes through one :class:`~repro.ct.monitor.LogTail` (the
+  same tailer the replay monitors use, writing the ``feed.*`` names),
+  over each log's :func:`~repro.ct.monitor.as_transport`: a log whose
+  ``get_entries`` fails (after the optional
+  :class:`~repro.resilience.RetryPolicy` is exhausted) keeps its
+  cursor where it was — no entry is silently skipped — and per-log
+  error/retry counters are exposed via :meth:`log_health`;
 * polling feeds the live analytics: an attached
   :class:`~repro.dataset.live.LiveAnalytics` (``analytics=``) absorbs
   every poll batch before fan-out, so ``GET /analytics`` reflects a
@@ -32,7 +35,6 @@ that service shape:
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
@@ -48,6 +50,7 @@ from typing import (
 )
 
 from repro.ct.log import CTLog, LogEntry
+from repro.ct.monitor import FEED_TAIL, LogTail, as_transport
 
 if TYPE_CHECKING:  # avoid a runtime import cycle through repro.ct
     from repro.dataset.live import LiveAnalytics
@@ -102,21 +105,18 @@ class CertFeed:
         analytics: Optional["LiveAnalytics"] = None,
     ) -> None:
         self._logs = list(logs)
-        self._cursors: Dict[str, int] = {log.name: log.size for log in self._logs}
+        self._transports = [as_transport(log) for log in self._logs]
         self._subs: Dict[str, _Subscription] = {}
         self._default_max_queue = max_queue
-        self.retry = retry
         self.metrics = metrics
         self.events = events
         self.analytics = analytics
         self.events_emitted = 0
-        self.poll_errors: Dict[str, int] = {log.name: 0 for log in self._logs}
-        self.poll_retries: Dict[str, int] = {log.name: 0 for log in self._logs}
-        self.poll_successes: Dict[str, int] = {log.name: 0 for log in self._logs}
-        self.consecutive_failures: Dict[str, int] = {
-            log.name: 0 for log in self._logs
-        }
-        self.entries_fetched: Dict[str, int] = {log.name: 0 for log in self._logs}
+        self.tail = LogTail(
+            FEED_TAIL, retry=retry, metrics=metrics, events=events
+        )
+        for transport in self._transports:
+            self.tail.start(transport.name, transport.tree_size())
         self._flusher = None
         if flush_interval_s is not None:
             if events is None or metrics is None:
@@ -196,92 +196,24 @@ class CertFeed:
             self.metrics.inc("feed.backfill_events", replayed, subscriber=name)
         return replayed
 
-    def _fetch_new(
-        self, log: CTLog, cursor: int, end: int
-    ) -> Tuple[List[LogEntry], int]:
-        """``get_entries`` under the feed's retry policy (may raise).
-
-        Returns ``(entries, retries spent on this fetch)``.
-        """
-        if self.retry is None:
-            return log.get_entries(cursor, end), 0
-        outcome = self.retry.run(lambda: log.get_entries(cursor, end))
-        return outcome.value, outcome.retried
-
     def poll(self, now: datetime) -> int:
         """Pull new entries from all logs and enqueue them everywhere.
 
-        A log whose fetch fails — even after retries — contributes
-        nothing this round and its cursor stays put, so the entries
-        are delivered (not skipped) by the next successful poll;
-        failures are tallied in ``poll_errors``/``poll_retries`` and
-        the per-log consecutive-failure streak.  With an attached
-        event log every fetched log emits one ``feed_poll`` event, and
-        the optional interval flusher exports counter deltas into the
-        same stream.
+        Each log is fetched through :attr:`tail`, a
+        :class:`~repro.ct.monitor.LogTail` writing the ``feed.*``
+        counters and one ``feed_poll`` event per fetched log.  A log
+        whose fetch fails — even after retries — contributes nothing
+        this round and its cursor stays put, so the entries are
+        delivered (not skipped) by the next successful poll.  The
+        optional interval flusher exports counter deltas into the same
+        event stream.
         """
         fresh: List[FeedEvent] = []
-        for log in self._logs:
-            cursor = self._cursors.get(log.name, 0)
-            size = log.size
-            if size <= cursor:
-                continue
-            started = time.perf_counter()
-            try:
-                entries, retried = self._fetch_new(log, cursor, size - 1)
-            except Exception as exc:
-                self.poll_errors[log.name] = self.poll_errors.get(log.name, 0) + 1
-                self.consecutive_failures[log.name] = (
-                    self.consecutive_failures.get(log.name, 0) + 1
-                )
-                failed_retries = max(0, getattr(exc, "attempts", 1) - 1)
-                self.poll_retries[log.name] = (
-                    self.poll_retries.get(log.name, 0) + failed_retries
-                )
-                if self.metrics is not None:
-                    self.metrics.inc("feed.poll_errors", log=log.name)
-                    if failed_retries:
-                        self.metrics.inc(
-                            "feed.poll_retries", failed_retries, log=log.name
-                        )
-                if self.events is not None:
-                    self.events.emit(
-                        "feed_poll",
-                        log=log.name,
-                        ok=False,
-                        error=repr(exc),
-                        retried=failed_retries,
-                    )
-                continue
-            self.poll_retries[log.name] = (
-                self.poll_retries.get(log.name, 0) + retried
+        for transport in self._transports:
+            fresh.extend(
+                FeedEvent(transport.name, entry, now)
+                for entry in self.tail.fetch(transport)
             )
-            self.poll_successes[log.name] = (
-                self.poll_successes.get(log.name, 0) + 1
-            )
-            self.consecutive_failures[log.name] = 0
-            if self.metrics is not None:
-                self.metrics.observe(
-                    "feed.fetch_seconds",
-                    time.perf_counter() - started,
-                    log=log.name,
-                )
-                self.metrics.inc("feed.entries", len(entries), log=log.name)
-                if retried:
-                    self.metrics.inc("feed.poll_retries", retried, log=log.name)
-            if self.events is not None:
-                self.events.emit(
-                    "feed_poll",
-                    log=log.name,
-                    ok=True,
-                    entries=len(entries),
-                    retried=retried,
-                )
-            self.entries_fetched[log.name] = (
-                self.entries_fetched.get(log.name, 0) + len(entries)
-            )
-            fresh.extend(FeedEvent(log.name, entry, now) for entry in entries)
-            self._cursors[log.name] = cursor + len(entries)
         if self.analytics is not None and fresh:
             # Fold before fan-out so /analytics already reflects this
             # batch by the time subscribers see the events.
@@ -306,19 +238,7 @@ class CertFeed:
 
     def log_health(self) -> Dict[str, Dict[str, int]]:
         """Per-log cursor position, entries delivered, error/retry counters."""
-        return {
-            log.name: {
-                "cursor": self._cursors.get(log.name, 0),
-                "entries": self.entries_fetched.get(log.name, 0),
-                "errors": self.poll_errors.get(log.name, 0),
-                "retries": self.poll_retries.get(log.name, 0),
-                "successes": self.poll_successes.get(log.name, 0),
-                "consecutive_failures": self.consecutive_failures.get(
-                    log.name, 0
-                ),
-            }
-            for log in self._logs
-        }
+        return self.tail.log_health()
 
     def health_report(
         self, policy: Optional["SloPolicy"] = None
@@ -329,9 +249,7 @@ class CertFeed:
         the ``/health`` payload of an attached
         :class:`~repro.obs.export.TelemetryServer`.
         """
-        from repro.obs.health import evaluate_stats
-
-        return evaluate_stats(self.log_health(), policy)
+        return self.tail.health_report(policy)
 
     def flush_telemetry(self) -> bool:
         """Force a counter-delta flush (loop-shutdown hook).

@@ -29,12 +29,18 @@ bodies + inclusion proofs **only for entries whose claimed domains
 match the subscription**.  Wire-level cost (requests, entries, bytes)
 is accounted per poll and reported through :mod:`repro.obs`.
 
-Polling is fault-tolerant: a fetch that fails — after the optional
-:class:`~repro.resilience.RetryPolicy` is exhausted — leaves the
-log's cursor untouched, so no entry is silently lost; the next
+Every consumer that replays a log — the two replay monitors here and
+:class:`~repro.ct.feed.CertFeed` — tails it through one
+:class:`LogTail`, which owns the cursor, the retry run and the per-log
+counters.  Polling is fault-tolerant: a fetch that fails — after the
+optional :class:`~repro.resilience.RetryPolicy` is exhausted — leaves
+the log's cursor untouched, so no entry is silently lost; the next
 successful poll observes everything that accumulated in the meantime.
-Per-log error/retry counters are exposed on each monitor, an attached
-:class:`~repro.obs.events.EventLog` receives one ``monitor_fetch``
+Over HTTP every ranged ``get-entries`` goes through
+:func:`~repro.ct.server.page_entries`, so what the log answers is
+checked before it can move a cursor.  ``log_health()`` exposes the
+per-log counters, an attached :class:`~repro.obs.events.EventLog`
+receives one ``monitor_fetch`` (or, for the feed, ``feed_poll``)
 event per fetch as it happens, and ``health_report()`` folds the
 counters into per-log SLO verdicts (see :mod:`repro.obs.health`).
 """
@@ -63,11 +69,11 @@ from repro.ct.merkle import (
     verify_consistency_proof,
     verify_inclusion_proof,
 )
+from repro.ct.server import LogClient, page_entries
 from repro.obs.trace import maybe_span
 from repro.util.rng import SeededRng
 
 if TYPE_CHECKING:  # avoid a runtime import cycle through repro.ct
-    from repro.ct.server import LogClient
     from repro.obs.events import EventLog
     from repro.obs.health import HealthReport, SloPolicy
     from repro.obs.metrics import MetricsRegistry
@@ -95,8 +101,8 @@ class LogTransport:
     Concrete transports wrap either the in-process log object
     (:class:`InMemoryTransport`) or an HTTP client against a served
     one (:class:`HttpTransport`).  All read methods raise on failure;
-    the monitors' cursor bookkeeping treats any exception as "this
-    poll saw nothing", leaving the cursor in place.
+    :class:`LogTail` treats any exception as "this poll saw nothing",
+    leaving the cursor in place.
 
     ``stats()`` is the wire-cost ledger: cumulative requests, entry
     bodies fetched, and bytes received (0 for in-memory transports,
@@ -196,13 +202,16 @@ class HttpTransport(LogTransport):
 
     ``target`` is either a ready :class:`~repro.ct.server.LogClient`
     or a base URL string (``server.log_url(name)``).  ``get_entries``
-    pages through the server's response clamping, so a request larger
-    than the serving page limit still returns the full range.  The
-    wire ledger counts the client's real request/byte totals; entry
-    accounting is per page *as received*, so the ledger stays exact
-    even when a fault mid-range forces the caller's retry layer to
-    refetch (the books balance against the byte/request counters,
-    which also count every attempt).  ``tracer`` propagates to the
+    pages through the server's response clamping with
+    :func:`~repro.ct.server.page_entries`, so a request larger than the
+    serving page limit still returns the full range; an answer that
+    runs past the requested range is cut, and one that skips or
+    repeats an entry is rejected.  The wire ledger counts the client's
+    real request/byte totals; entry accounting is per checked page as
+    it lands, so the ledger stays exact even when a fault mid-range
+    forces the caller's retry layer to refetch (the books balance
+    against the byte/request counters, which also count every
+    attempt).  ``tracer`` propagates to the
     client, which injects the trace-context header per request.
     """
 
@@ -216,8 +225,6 @@ class HttpTransport(LogTransport):
         client_id: Optional[str] = None,
         tracer: Optional["SpanTracer"] = None,
     ) -> None:
-        from repro.ct.server import LogClient
-
         super().__init__(name)
         if isinstance(target, LogClient):
             self.client = target
@@ -252,22 +259,13 @@ class HttpTransport(LogTransport):
 
     def get_entries(self, start: int, end: int) -> List[LogEntry]:
         entries: List[LogEntry] = []
-        index = start
-        while index <= end:
-            page = self.client.get_entries(
-                index, min(end, index + self.page_size - 1)
-            )
-            if not page:
-                raise RuntimeError(
-                    f"{self.name}: empty get-entries page at index {index}"
-                )
+        for page in page_entries(self.client, start, end, self.page_size):
             # Count each page the moment it lands: if a later page of
             # this range fails, the wire ledger still reflects what was
             # actually transferred (and a retry that refetches counts
             # again, matching the byte counter's view).
             self.entries_fetched += len(page)
             entries.extend(page)
-            index = page[-1].index + 1
         return entries
 
     def get_batch_digest(self, start: int) -> BatchDigest:
@@ -314,149 +312,200 @@ class LogObservation:
         return (self.observed_at - self.entry.submitted_at).total_seconds()
 
 
-class _CursorMixin:
-    """Shared cursor bookkeeping over multiple logs.
+@dataclass(frozen=True)
+class TailNames:
+    """The event and counter names one kind of log tailer writes.
 
-    The cursor for a log only advances past entries that were actually
-    fetched; a failed ``get_entries`` (after the optional retry policy
-    gives up) counts into ``errors`` and leaves the cursor alone, so
-    the entries surface on the next successful poll instead of being
-    skipped.  Over an HTTP transport a failed ``get-sth`` (server
-    down, socket error) counts as an error the same way.
+    They are part of the event-replay contract
+    (:func:`repro.obs.events.replay_counters`), so a consumer picks one
+    of the two constants below rather than naming its own.
+    """
+
+    event: str
+    entries: str
+    errors: str
+    retries: str
+    fetch_seconds: str
+
+
+#: :class:`~repro.ct.feed.CertFeed`'s names, labelled ``log=``.
+FEED_TAIL = TailNames(
+    "feed_poll", "feed.entries", "feed.poll_errors", "feed.poll_retries",
+    "feed.fetch_seconds",
+)
+#: The replay monitors' names, labelled ``monitor=, log=``.
+MONITOR_TAIL = TailNames(
+    "monitor_fetch", "monitor.entries", "monitor.errors", "monitor.retries",
+    "monitor.fetch_seconds",
+)
+
+_HEALTH_KEYS = (
+    "cursor", "entries", "errors", "retries", "successes",
+    "consecutive_failures",
+)
+
+
+class LogTail:
+    """One consumer's cursor, retry and fetch counters for every log it tails.
+
+    :meth:`fetch` reads a log's tree size through its transport and
+    fetches every entry past the cursor, under the optional retry
+    policy.  The cursor only advances past entries that arrived; a
+    fetch that fails (after the retry policy gives up) counts into
+    ``errors`` and the failure streak and leaves the cursor alone, so
+    the entries surface on the next successful fetch instead of being
+    skipped.  A failed ``get-sth`` over HTTP, or a page
+    :func:`~repro.ct.server.page_entries` rejects, counts the same way.
+
+    With ``metrics=`` / ``events=`` attached every fetch records the
+    ``names`` counters and one ``names.event`` event, labelled with
+    ``labels`` plus ``log=``.
     """
 
     def __init__(
         self,
+        names: TailNames,
+        *,
         retry: Optional["RetryPolicy"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         events: Optional["EventLog"] = None,
+        labels: Optional[Dict[str, str]] = None,
     ) -> None:
-        self._cursors: Dict[str, int] = {}
+        self.names = names
         self.retry = retry
         self.metrics = metrics
         self.events = events
-        self.errors: Dict[str, int] = {}
-        self.retries: Dict[str, int] = {}
-        self.successes: Dict[str, int] = {}
-        self.entries_seen: Dict[str, int] = {}
-        self.consecutive_failures: Dict[str, int] = {}
+        self.labels = dict(labels or {})
+        self._started: List[str] = []
+        self._stats: Dict[str, Dict[str, int]] = {}
 
-    def _monitor_label(self) -> str:
-        return getattr(self, "name", type(self).__name__)
+    def start(self, name: str, cursor: int) -> None:
+        """Tail ``name`` from ``cursor`` on; earlier entries are never fetched."""
+        self._started.append(name)
+        self._stats[name] = dict(dict.fromkeys(_HEALTH_KEYS, 0), cursor=cursor)
 
-    def _new_entries(
-        self, target: Union[LogTransport, CTLog]
-    ) -> List[LogEntry]:
-        transport = as_transport(target)
+    def fetch(self, transport: LogTransport) -> List[LogEntry]:
+        """Every entry past ``transport``'s cursor; ``[]`` on failure."""
         name = transport.name
-        cursor = self._cursors.get(name, 0)
-        label = self._monitor_label()
+        stats = self._stats.get(name) or dict.fromkeys(_HEALTH_KEYS, 0)
+        cursor = stats["cursor"]
         started = time.perf_counter()
-        retried = 0
+        entries: Optional[List[LogEntry]] = None
         try:
             size = transport.tree_size()
             if size <= cursor:
                 return []
             if self.retry is None:
-                entries = transport.get_entries(cursor, size - 1)
+                entries, retried = transport.get_entries(cursor, size - 1), 0
             else:
                 outcome = self.retry.run(
                     lambda: transport.get_entries(cursor, size - 1)
                 )
-                entries = outcome.value
-                retried = outcome.retried
-                self.retries[name] = self.retries.get(name, 0) + retried
-                if self.metrics is not None and retried:
-                    self.metrics.inc(
-                        "monitor.retries",
-                        retried,
-                        monitor=label,
-                        log=name,
-                    )
+                entries, retried = outcome.value, outcome.retried
         except Exception as exc:
-            self.errors[name] = self.errors.get(name, 0) + 1
-            self.consecutive_failures[name] = (
-                self.consecutive_failures.get(name, 0) + 1
-            )
-            failed_retries = max(0, getattr(exc, "attempts", 1) - 1)
-            self.retries[name] = (
-                self.retries.get(name, 0) + failed_retries
-            )
-            if self.metrics is not None:
-                self.metrics.inc("monitor.errors", monitor=label, log=name)
-                if failed_retries:
-                    self.metrics.inc(
-                        "monitor.retries",
-                        failed_retries,
-                        monitor=label,
-                        log=name,
-                    )
-            if self.events is not None:
-                self.events.emit(
-                    "monitor_fetch",
-                    monitor=label,
-                    log=name,
-                    ok=False,
-                    error=repr(exc),
-                    retried=failed_retries,
-                )
-            return []
-        self.successes[name] = self.successes.get(name, 0) + 1
-        self.consecutive_failures[name] = 0
-        self.entries_seen[name] = (
-            self.entries_seen.get(name, 0) + len(entries)
-        )
+            retried = max(0, getattr(exc, "attempts", 1) - 1)
+            stats["errors"] += 1
+            stats["consecutive_failures"] += 1
+            fields: Dict[str, object] = {"ok": False, "error": repr(exc)}
+        else:
+            stats["cursor"] = cursor + len(entries)
+            stats["entries"] += len(entries)
+            stats["successes"] += 1
+            stats["consecutive_failures"] = 0
+            fields = {"ok": True, "entries": len(entries)}
+        stats["retries"] += retried
+        self._stats[name] = stats
+        labels = dict(self.labels, log=name)
         if self.metrics is not None:
-            self.metrics.observe(
-                "monitor.fetch_seconds",
-                time.perf_counter() - started,
-                monitor=label,
-                log=name,
-            )
-            self.metrics.inc(
-                "monitor.entries", len(entries), monitor=label, log=name
-            )
+            if entries is None:
+                self.metrics.inc(self.names.errors, **labels)
+            else:
+                self.metrics.observe(
+                    self.names.fetch_seconds,
+                    time.perf_counter() - started,
+                    **labels,
+                )
+                self.metrics.inc(self.names.entries, len(entries), **labels)
+            if retried:
+                self.metrics.inc(self.names.retries, retried, **labels)
         if self.events is not None:
             self.events.emit(
-                "monitor_fetch",
-                monitor=label,
-                log=name,
-                ok=True,
-                entries=len(entries),
-                retried=retried,
+                self.names.event, **labels, **fields, retried=retried
             )
-        self._cursors[name] = cursor + len(entries)
-        return entries
+        return entries or []
 
     def log_health(self) -> Dict[str, Dict[str, int]]:
-        """Per-log fetch counters in :mod:`repro.obs.health` shape."""
-        names = sorted(
-            set(self._cursors)
-            | set(self.errors)
-            | set(self.successes)
-        )
-        return {
-            name: {
-                "cursor": self._cursors.get(name, 0),
-                "entries": self.entries_seen.get(name, 0),
-                "errors": self.errors.get(name, 0),
-                "retries": self.retries.get(name, 0),
-                "successes": self.successes.get(name, 0),
-                "consecutive_failures": self.consecutive_failures.get(name, 0),
-            }
-            for name in names
-        }
+        """Per-log counters in :mod:`repro.obs.health` shape.
+
+        Logs given to :meth:`start` come first, in start order; logs
+        the tail only met while fetching follow, sorted by name.
+        """
+        found = sorted(set(self._stats).difference(self._started))
+        return {name: dict(self._stats[name]) for name in self._started + found}
 
     def health_report(
         self, policy: Optional["SloPolicy"] = None
     ) -> "HealthReport":
-        """Per-log SLO verdicts over every log this monitor has fetched."""
+        """Per-log SLO verdicts from :meth:`log_health` counters."""
         from repro.obs.health import evaluate_stats
 
         return evaluate_stats(self.log_health(), policy)
 
 
-class StreamingMonitor(_CursorMixin):
+class _ReplayMonitor:
+    """A monitor that replays every entry of the logs it observes.
+
+    The subclasses differ only in when they observe an entry
+    (:meth:`_observed_at`); the cursor, retry and counters live in
+    :attr:`tail`, written under the ``monitor.*`` names.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        retry: Optional["RetryPolicy"],
+        metrics: Optional["MetricsRegistry"],
+        events: Optional["EventLog"],
+    ) -> None:
+        self.name = name
+        self.tail = LogTail(
+            MONITOR_TAIL,
+            retry=retry,
+            metrics=metrics,
+            events=events,
+            labels={"monitor": name},
+        )
+
+    def _observed_at(self, entry: LogEntry) -> datetime:
+        raise NotImplementedError
+
+    def observe(
+        self, log: Union[LogTransport, CTLog]
+    ) -> List[LogObservation]:
+        """Return observations for all entries not yet seen."""
+        transport = as_transport(log)
+        return [
+            LogObservation(
+                monitor=self.name,
+                log_name=transport.name,
+                entry=entry,
+                observed_at=self._observed_at(entry),
+            )
+            for entry in self.tail.fetch(transport)
+        ]
+
+    def log_health(self) -> Dict[str, Dict[str, int]]:
+        """Per-log fetch counters, sorted by log name."""
+        return self.tail.log_health()
+
+    def health_report(
+        self, policy: Optional["SloPolicy"] = None
+    ) -> "HealthReport":
+        """Per-log SLO verdicts over every log this monitor has fetched."""
+        return self.tail.health_report(policy)
+
+
+class StreamingMonitor(_ReplayMonitor):
     """A near-real-time log follower (CertStream-style).
 
     Observation latency per entry is sampled uniformly from
@@ -474,33 +523,18 @@ class StreamingMonitor(_CursorMixin):
         metrics: Optional["MetricsRegistry"] = None,
         events: Optional["EventLog"] = None,
     ) -> None:
-        super().__init__(retry=retry, metrics=metrics, events=events)
-        self.name = name
+        super().__init__(name, retry, metrics, events)
         self._rng = rng.fork(f"stream:{name}")
         self.latency_range_s = latency_range_s
         self.base_offset_s = base_offset_s
 
-    def observe(
-        self, log: Union[LogTransport, CTLog]
-    ) -> List[LogObservation]:
-        """Return observations for all entries not yet seen."""
-        transport = as_transport(log)
-        observations = []
+    def _observed_at(self, entry: LogEntry) -> datetime:
         low, high = self.latency_range_s
-        for entry in self._new_entries(transport):
-            delay = self.base_offset_s + self._rng.uniform(low, high)
-            observations.append(
-                LogObservation(
-                    monitor=self.name,
-                    log_name=transport.name,
-                    entry=entry,
-                    observed_at=entry.submitted_at + timedelta(seconds=delay),
-                )
-            )
-        return observations
+        delay = self.base_offset_s + self._rng.uniform(low, high)
+        return entry.submitted_at + timedelta(seconds=delay)
 
 
-class BatchMonitor(_CursorMixin):
+class BatchMonitor(_ReplayMonitor):
     """A periodic poller: observes entries at the next poll tick.
 
     Poll ticks are ``interval`` apart with a random phase, so an entry
@@ -518,8 +552,7 @@ class BatchMonitor(_CursorMixin):
         metrics: Optional["MetricsRegistry"] = None,
         events: Optional["EventLog"] = None,
     ) -> None:
-        super().__init__(retry=retry, metrics=metrics, events=events)
-        self.name = name
+        super().__init__(name, retry, metrics, events)
         self._rng = rng.fork(f"batch:{name}")
         self.interval = interval
         self.processing_delay_s = processing_delay_s
@@ -540,25 +573,11 @@ class BatchMonitor(_CursorMixin):
             tick += self.interval
         return tick
 
-    def observe(
-        self, log: Union[LogTransport, CTLog]
-    ) -> List[LogObservation]:
-        transport = as_transport(log)
-        observations = []
-        for entry in self._new_entries(transport):
-            poll_at = self.next_poll_after(entry.submitted_at)
-            observed = poll_at + timedelta(
-                seconds=self._rng.uniform(0.0, self.processing_delay_s)
-            )
-            observations.append(
-                LogObservation(
-                    monitor=self.name,
-                    log_name=transport.name,
-                    entry=entry,
-                    observed_at=observed,
-                )
-            )
-        return observations
+    def _observed_at(self, entry: LogEntry) -> datetime:
+        poll_at = self.next_poll_after(entry.submitted_at)
+        return poll_at + timedelta(
+            seconds=self._rng.uniform(0.0, self.processing_delay_s)
+        )
 
 
 class LightweightMonitor:

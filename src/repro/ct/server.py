@@ -71,6 +71,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -1195,7 +1196,39 @@ class HarvestedLog:
 
 
 class HarvestMismatchError(RuntimeError):
-    """The harvested entries do not reproduce the served tree head."""
+    """A log's answers do not add up: a bad page or a wrong root."""
+
+
+def page_entries(
+    client: LogClient, start: int, end: int, page_size: int
+) -> Iterator[List[LogEntry]]:
+    """Page ``client.get_entries`` over ``[start, end]``, checking each page.
+
+    No request reaches past ``end``.  A page longer than the window it
+    was asked for is cut to that window, and its entries must be
+    numbered ``index, index + 1, ...`` from the index it was asked at.
+    An empty or misnumbered page (so also one that does not advance)
+    raises :class:`HarvestMismatchError` before it is yielded, so
+    nothing downstream ever sees an entry the log did not vouch for.
+    """
+    index = start
+    while index <= end:
+        stop = min(end, index + page_size - 1)
+        page = client.get_entries(index, stop)
+        if not page:
+            raise HarvestMismatchError(
+                f"empty get-entries page at index {index}"
+            )
+        if len(page) > stop - index + 1:
+            page = page[: stop - index + 1]
+        for expected, entry in enumerate(page, index):
+            if entry.index != expected:
+                raise HarvestMismatchError(
+                    f"get-entries({index}, {stop}) answered entry "
+                    f"{entry.index} in place of {expected}"
+                )
+        yield page
+        index += len(page)
 
 
 def harvest_log(
@@ -1208,47 +1241,29 @@ def harvest_log(
 ) -> HarvestedLog:
     """Rebuild a complete log replica over HTTP and verify it.
 
-    Pages ``get-entries`` from 0 to the ``get-sth`` tree size, rebuilds
-    the Merkle tree from the returned ``leaf_input`` bytes, and
-    requires the rebuilt root to equal the served
-    ``sha256_root_hash`` — a truncated or tampered harvest raises
-    :class:`HarvestMismatchError`.
+    Pages ``get-entries`` from 0 to the ``get-sth`` tree size through
+    :func:`page_entries`, rebuilds the Merkle tree from the returned
+    ``leaf_input`` bytes, and requires the rebuilt root to equal the
+    served ``sha256_root_hash`` — a truncated, misnumbered or tampered
+    harvest raises :class:`HarvestMismatchError`.
 
-    Every round is pinned to the ``tree_size`` of the STH fetched
-    up front: requested page bounds never exceed it, and a log that
-    grows mid-harvest (or a replica that over-answers a range) cannot
-    slip entries past the verified tree head — over-long pages are
-    truncated to the pinned window before they touch the replica.
+    Every round is pinned to the ``tree_size`` of the STH fetched up
+    front: a log that grows mid-harvest (or a replica that over-answers
+    a range) cannot slip entries past the verified tree head.
 
     An attached :class:`~repro.dataset.live.LiveAnalytics` absorbs
-    each verified page as it lands (``analytics=``), so live harvests
+    each checked page as it lands (``analytics=``), so live harvests
     stream straight into the incremental Fig 1a/1b/Table 1 aggregates.
     """
     sth = client.get_sth()
     size = int(sth["tree_size"])
     replica = HarvestedLog(name, operator)
-    index = 0
-    while index < size:
-        page = client.get_entries(index, min(index + page_size - 1, size - 1))
-        if not page:
-            raise HarvestMismatchError(
-                f"empty get-entries page at index {index}"
-            )
-        if len(page) > size - index:
-            # The server answered past the pinned STH window (a log
-            # that grew between our fetch and its clamp, or a lying
-            # replica): keep only the rows the fetched STH covers.
-            page = page[: size - index]
+    for page in page_entries(client, 0, size - 1, page_size):
         for entry in page:
             replica.tree.append(entry.leaf_input)
             replica.entries.append(entry)
         if analytics is not None:
             analytics.fold_entries(name, page)
-        index += len(page)
-    if replica.tree.size != size:
-        raise HarvestMismatchError(
-            f"harvested {replica.tree.size} entries, STH says {size}"
-        )
     if size and replica.tree.root() != _unb64(str(sth["sha256_root_hash"])):
         raise HarvestMismatchError(
             "rebuilt Merkle root does not match the served STH"
@@ -1274,4 +1289,5 @@ __all__ = [
     "entry_to_wire",
     "harvest_log",
     "log_slug",
+    "page_entries",
 ]

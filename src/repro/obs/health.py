@@ -3,10 +3,10 @@
 The paper's Section 2 observation — log load concentrates on a handful
 of logs, so the ecosystem's health hinges on a few operators — is
 exactly the condition a per-log health view detects in a running
-monitoring loop.  This module folds the per-log counters the feed and
-the monitors already keep (entries, errors, retries, successes, and
-the consecutive-failure streak, i.e. staleness) into one of three SLO
-verdicts per log:
+monitoring loop.  This module folds the per-log counters that the
+feed's and the monitors' log tails already keep (entries, errors,
+retries, successes, and the consecutive-failure streak, i.e.
+staleness) into one of three SLO verdicts per log:
 
 * ``healthy`` — fetches succeed, error ratio within budget, no retry
   churn;
@@ -195,8 +195,8 @@ def evaluate_log(
 
     ``stats`` keys (all optional, default 0): ``entries``,
     ``successes``, ``errors``, ``retries``, ``consecutive_failures``.
-    The feed's :meth:`~repro.ct.feed.CertFeed.log_health` and the
-    monitors' ``log_health()`` produce exactly this shape.
+    :meth:`repro.ct.monitor.LogTail.log_health` produces exactly this
+    shape, for the feed and the replay monitors alike.
     """
     entries = int(stats.get("entries", 0))  # type: ignore[arg-type]
     successes = int(stats.get("successes", 0))  # type: ignore[arg-type]

@@ -40,9 +40,6 @@ from repro.pipeline.merge import (
     merge_counter2d,
 )
 from repro.pipeline.passes import (
-    evolution_growth,
-    evolution_matrix,
-    evolution_rates,
     evolution_sections,
     leakage_names,
     traffic_adoption,
@@ -65,9 +62,6 @@ __all__ = [
     "DEFAULT_SHARD_SIZE",
     "plan_log_shards",
     "plan_sequence_shards",
-    "evolution_growth",
-    "evolution_rates",
-    "evolution_matrix",
     "evolution_sections",
     "traffic_adoption",
     "leakage_names",

@@ -33,20 +33,14 @@ from repro.dataset import (
     adoption_pass,
     analyze_corpus,
     analyze_records,
-    growth_extractor,
-    growth_pass,
     leakage_name_extractor,
     leakage_pass,
-    matrix_extractor,
-    matrix_pass,
-    rates_pass,
     section2_graph,
 )
 from repro.dnscore.psl import PublicSuffixList
 from repro.pipeline.engine import PipelineEngine
 from repro.resilience.degrade import DegradedResult
 from repro.tls.connection import TlsConnection
-from repro.util.stats import Counter2D
 
 # -- shared plumbing --------------------------------------------------------
 
@@ -76,45 +70,6 @@ def _logs_corpus(logs: Dict[str, CTLog], engine: PipelineEngine) -> CertCorpus:
 # -- pass drivers ----------------------------------------------------------
 
 
-def evolution_growth(
-    logs: Dict[str, CTLog],
-    engine: Optional[PipelineEngine] = None,
-    *,
-    start: Optional[date] = None,
-    end: Optional[date] = None,
-):
-    """Figure 1a via the engine (== ``evolution.cumulative_precert_growth``)."""
-    engine = engine or PipelineEngine()
-    graph = PassGraph().add_extractor(growth_extractor())
-    graph.add_pass(growth_pass(start, end))
-    result = analyze_corpus(_logs_corpus(logs, engine), graph, engine)
-    return _unwrap(result)["growth"]
-
-
-def evolution_rates(
-    logs: Dict[str, CTLog], engine: Optional[PipelineEngine] = None
-):
-    """Figure 1b via the engine (== ``evolution.relative_daily_rates``)."""
-    engine = engine or PipelineEngine()
-    graph = PassGraph().add_extractor(growth_extractor())
-    graph.add_pass(rates_pass())
-    result = analyze_corpus(_logs_corpus(logs, engine), graph, engine)
-    return _unwrap(result)["rates"]
-
-
-def evolution_matrix(
-    logs: Dict[str, CTLog],
-    month: str = "2018-04",
-    engine: Optional[PipelineEngine] = None,
-) -> Counter2D:
-    """Figure 1c via the engine (== ``evolution.ca_log_matrix``)."""
-    engine = engine or PipelineEngine()
-    graph = PassGraph().add_extractor(matrix_extractor(month))
-    graph.add_pass(matrix_pass())
-    result = analyze_corpus(_logs_corpus(logs, engine), graph, engine)
-    return _unwrap(result)["matrix"]
-
-
 def evolution_sections(
     logs: Dict[str, CTLog],
     month: str = "2018-04",
@@ -126,11 +81,13 @@ def evolution_sections(
     """Figures 1a-1c fused: one corpus traversal per shard for all three.
 
     Returns ``{"growth": ..., "rates": ..., "matrix": ...}``, each value
-    bit-identical to the corresponding single-pass driver — the
+    bit-identical to its serial :mod:`repro.core.evolution` result
+    (``cumulative_precert_growth`` over ``start``/``end``,
+    ``relative_daily_rates``, ``ca_log_matrix`` for ``month``) — the
     ``growth`` and ``rates`` passes even share one extractor state, so
-    the fused run folds strictly less work than the three scans it
-    replaces (``dataset.separate_traversals_avoided`` counts the
-    difference when the engine carries a metrics registry).
+    the fused run folds strictly less work than three separate scans
+    (``dataset.separate_traversals_avoided`` counts the difference when
+    the engine carries a metrics registry).
     """
     engine = engine or PipelineEngine()
     graph = section2_graph(month, start=start, end=end)

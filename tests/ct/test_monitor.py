@@ -120,8 +120,9 @@ def test_failed_fetch_does_not_advance_cursor(log_with_entries, now):
     )
     monitor = StreamingMonitor("s", SeededRng(8))
     assert monitor.observe(flaky) == []  # fetch failed, cursor holds
-    assert monitor.errors["Mon Log"] == 1
-    assert monitor._cursors.get("Mon Log", 0) == 0
+    health = monitor.log_health()["Mon Log"]
+    assert health["errors"] == 1
+    assert health["cursor"] == 0
 
     # Every entry — including one issued after the failure — arrives
     # exactly once on the next observation.
@@ -151,8 +152,9 @@ def test_monitor_retry_policy_recovers(log_with_entries):
         retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
     )
     assert len(monitor.observe(flaky)) == 5
-    assert monitor.errors.get("Mon Log", 0) == 0
-    assert monitor.retries["Mon Log"] == 1
+    health = monitor.log_health()["Mon Log"]
+    assert health["errors"] == 0
+    assert health["retries"] == 1
 
 
 def test_batch_monitor_counts_errors_too(log_with_entries):
@@ -165,7 +167,7 @@ def test_batch_monitor_counts_errors_too(log_with_entries):
     monitor = BatchMonitor("b", SeededRng(10), interval=timedelta(hours=2))
     assert monitor.observe(broken) == []
     assert monitor.observe(broken) == []
-    assert monitor.errors["Mon Log"] == 2
+    assert monitor.log_health()["Mon Log"]["errors"] == 2
 
 
 def test_cursor_exact_across_incremental_growth(log_with_entries, now):

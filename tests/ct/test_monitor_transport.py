@@ -23,7 +23,12 @@ from repro.ct.monitor import (
     as_transport,
     watch_logs,
 )
-from repro.ct.server import LogClientError, LogServer
+from repro.ct.server import (
+    HarvestMismatchError,
+    LogClient,
+    LogClientError,
+    LogServer,
+)
 from repro.resilience import FlakyLog, RetryPolicy
 from repro.util.rng import SeededRng
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
@@ -228,6 +233,77 @@ def test_http_wire_ledger_exact_under_forced_retries(log_with_entries):
     # Bytes also count the failed attempt's error body plus the
     # refetched page, so they strictly exceed the clean run's total.
     assert faulty["bytes"] > control["bytes"]
+
+
+class _HostileClient(LogClient):
+    """A served log whose ``get-entries`` answers ignore the request.
+
+    ``stuck`` answers every range with entry 0; otherwise each answer
+    runs past ``end`` to the end of the served log.  ``sth`` pins the
+    tree head the client reports, so the log can grow behind it.
+    """
+
+    def __init__(self, url, *, stuck=False, sth=None):
+        super().__init__(url)
+        self.stuck = stuck
+        self.sth = sth
+        self.pages = 0
+
+    def get_signed_tree_head(self):
+        return self.sth or super().get_signed_tree_head()
+
+    def get_entries(self, start, end):
+        self.pages += 1
+        if self.pages > 50:
+            raise AssertionError("still paging after 50 pages")
+        if self.stuck:
+            return super().get_entries(0, 0)
+        return super().get_entries(start, start + 1000)
+
+
+def test_http_transport_truncates_an_overlong_answer(log_with_entries, now):
+    grow(log_with_entries, 5, now + timedelta(hours=1))
+    name = log_with_entries.name
+    with LogServer(log_with_entries) as server:
+        transport = HttpTransport(
+            _HostileClient(server.log_url(name)), name, page_size=4
+        )
+        entries = transport.get_entries(2, 4)
+    assert [entry.index for entry in entries] == [2, 3, 4]
+    assert transport.stats()["entries"] == 3
+
+
+def test_monitor_cursor_stops_at_the_tree_size_it_fetched(
+    log_with_entries, now
+):
+    name = log_with_entries.name
+    with LogServer(log_with_entries) as server:
+        client = _HostileClient(server.log_url(name))
+        client.sth = client.get_signed_tree_head()  # pinned at size 5
+        grow(log_with_entries, 5, now + timedelta(hours=1))
+        monitor = StreamingMonitor("s", SeededRng(16))
+        seen = monitor.observe(HttpTransport(client, name, page_size=4))
+    assert [obs.entry.index for obs in seen] == [0, 1, 2, 3, 4]
+    assert monitor.log_health()[name]["cursor"] == 5
+
+
+def test_http_transport_rejects_a_page_that_does_not_advance(
+    log_with_entries, now
+):
+    grow(log_with_entries, 5, now + timedelta(hours=1))
+    name = log_with_entries.name
+    with LogServer(log_with_entries) as server:
+        client = _HostileClient(server.log_url(name), stuck=True)
+        with pytest.raises(HarvestMismatchError):
+            HttpTransport(client, name, page_size=4).get_entries(5, 9)
+        assert client.pages == 1
+        # A monitor counts the rejected page as a failed fetch and
+        # keeps its cursor where it was.
+        monitor = StreamingMonitor("s", SeededRng(17))
+        assert monitor.observe(HttpTransport(client, name)) == []
+    health = monitor.log_health()[name]
+    assert health["errors"] == 1
+    assert health["cursor"] == 0
 
 
 def test_http_transport_failure_counts_monitor_error(log_with_entries):

@@ -544,17 +544,21 @@ class _OveransweringClient:
     Duck-types the two :class:`~repro.ct.server.LogClient` methods
     :func:`harvest_log` uses; the STH is pinned at issuance time while
     the backing log keeps growing, so every page call can over-answer
-    beyond the verified tree head.
+    beyond the verified tree head.  ``stuck`` makes it answer every
+    range with entry 0 instead.
     """
 
-    def __init__(self, log, sth):
+    def __init__(self, log, sth, *, stuck=False):
         self.log = log
         self.sth = sth
+        self.stuck = stuck
 
     def get_sth(self):
         return self.sth
 
     def get_entries(self, start, end):
+        if self.stuck:  # every range answered with entry 0
+            return self.log.get_entries(0, 0)
         # Ignore ``end`` entirely: hand out everything from ``start``.
         return self.log.get_entries(start, self.log.size - 1)
 
@@ -587,6 +591,22 @@ def test_harvest_truncates_pages_beyond_the_pinned_sth():
     assert [entry.index for entry in replica.entries] == list(range(6))
     # The analytics fold saw only the verified window, nothing more.
     assert live.records_folded == 6
+
+
+def test_harvest_rejects_a_misnumbered_page_before_folding_it():
+    from repro.ct.server import HarvestMismatchError, harvest_log
+    from repro.dataset import LiveAnalytics
+
+    log = make_log(entries=6)
+    live = LiveAnalytics()
+    with pytest.raises(HarvestMismatchError):
+        harvest_log(
+            _OveransweringClient(log, _pinned_sth(log), stuck=True),
+            page_size=4,
+            analytics=live,
+        )
+    # Only the first page, whose entry 0 sits at index 0, was folded.
+    assert live.records_folded == 1
 
 
 # -- middleware --------------------------------------------------------------

@@ -22,9 +22,7 @@ from repro.ct.loglist import log_key
 from repro.pipeline import (
     PipelineEngine,
     analyze_log_names,
-    evolution_growth,
-    evolution_matrix,
-    evolution_rates,
+    evolution_sections,
     leakage_names,
     traffic_adoption,
 )
@@ -66,7 +64,7 @@ def evolution_logs():
 class TestEvolutionParity:
     def test_fig1a_growth(self, evolution_logs, engine):
         serial = evolution.cumulative_precert_growth(evolution_logs)
-        parallel = evolution_growth(evolution_logs, engine)
+        parallel = evolution_sections(evolution_logs, engine=engine)["growth"]
         assert parallel == serial
         # Same CA iteration order, not just the same mapping.
         assert list(parallel) == list(serial)
@@ -74,16 +72,21 @@ class TestEvolutionParity:
     def test_fig1a_growth_with_date_window(self, evolution_logs, engine):
         window = dict(start=date(2017, 1, 1), end=date(2018, 3, 31))
         serial = evolution.cumulative_precert_growth(evolution_logs, **window)
-        assert evolution_growth(evolution_logs, engine, **window) == serial
+        assert (
+            evolution_sections(evolution_logs, engine=engine, **window)["growth"]
+            == serial
+        )
 
     def test_fig1b_rates(self, evolution_logs, engine):
         serial = evolution.relative_daily_rates(evolution_logs)
-        parallel = evolution_rates(evolution_logs, engine)
+        parallel = evolution_sections(evolution_logs, engine=engine)["rates"]
         assert parallel == serial
 
     def test_fig1c_matrix(self, evolution_logs, engine):
         serial = evolution.ca_log_matrix(evolution_logs, "2018-04")
-        parallel = evolution_matrix(evolution_logs, "2018-04", engine)
+        parallel = evolution_sections(evolution_logs, "2018-04", engine)[
+            "matrix"
+        ]
         assert parallel.cells() == serial.cells()
         # Ranked orders (count ties break by insertion) must match too:
         # they drive the rendered figure's row/column layout.
@@ -281,11 +284,11 @@ class TestDegradedHarvest:
 class TestSerialFallback:
     def test_workers_one_uses_serial_path(self, evolution_logs):
         serial_engine = PipelineEngine(workers=1)
-        assert evolution_growth(
-            evolution_logs, serial_engine
-        ) == evolution.cumulative_precert_growth(evolution_logs)
+        assert evolution_sections(evolution_logs, engine=serial_engine)[
+            "growth"
+        ] == evolution.cumulative_precert_growth(evolution_logs)
 
     def test_default_engine_is_serial(self, evolution_logs):
-        assert evolution_rates(
-            evolution_logs
-        ) == evolution.relative_daily_rates(evolution_logs)
+        assert evolution_sections(evolution_logs)[
+            "rates"
+        ] == evolution.relative_daily_rates(evolution_logs)
