@@ -32,7 +32,7 @@ from conftest import record_artifact
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
 from repro.ct.server import LogServer
-from repro.obs import EventLog, SpanTracer, TraceStore
+from repro.obs import NULL_EVENTS, NULL_TRACER, EventLog, SpanTracer, TraceStore
 from repro.util.timeutil import utc_datetime
 from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
@@ -97,9 +97,11 @@ def _run_storm(tag, traced):
         await_inclusion=False,
     )
     plans = plan_storm(config, log)
-    events = EventLog(tail_size=65536) if traced else None
+    events = EventLog(tail_size=65536) if traced else NULL_EVENTS
     tracer = (
-        SpanTracer(seed=SEED, name="bench", events=events) if traced else None
+        SpanTracer(seed=SEED, name="bench", events=events)
+        if traced
+        else NULL_TRACER
     )
     with LogServer(
         log, merge_interval=60.0, events=events, tracer=tracer

@@ -52,17 +52,19 @@ def _engine(args):
     lets a run whose retries are exhausted complete with partial
     results plus a degradation report instead of aborting.
 
-    When ``--metrics-out``/``--trace`` are active, :func:`main` stashes
-    a registry/tracer on ``args`` and the engine (plus retry policy)
-    records into them; artifact outputs are unaffected either way.
+    :func:`main` stashes the registry/tracer/event log on ``args``
+    (the null sinks unless ``--metrics-out``/``--trace``/``--events-out``
+    ask for real ones) and the engine (plus retry policy) records into
+    them; artifact outputs are unaffected either way.
     """
+    from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_TRACER
     from repro.pipeline import DEFAULT_SHARD_SIZE, PipelineEngine
     from repro.resilience import RetryPolicy
     from repro.util.rng import SeededRng
 
-    metrics = getattr(args, "metrics", None)
-    tracer = getattr(args, "tracer", None)
-    events = getattr(args, "events", None)
+    metrics = getattr(args, "metrics", NULL_METRICS)
+    tracer = getattr(args, "tracer", NULL_TRACER)
+    events = getattr(args, "events", NULL_EVENTS)
     retry = None
     if args.retries > 0:
         retry = RetryPolicy(
@@ -292,7 +294,7 @@ def cmd_status(args) -> str:
         degraded,
         failing,
     ]
-    metrics = args.metrics if args.metrics is not None else MetricsRegistry()
+    metrics = args.metrics if args.metrics_out else MetricsRegistry()
     feed = CertFeed(
         logs,
         retry=RetryPolicy(
@@ -303,7 +305,7 @@ def cmd_status(args) -> str:
         ),
         metrics=metrics,
         events=args.events,
-        flush_interval_s=0.0 if args.events is not None else None,
+        flush_interval_s=0.0 if args.events_out else None,
     )
     feed.subscribe("status", lambda event: None)
     ca = CertificateAuthority(name="Status CA", key_bits=256)
@@ -708,7 +710,7 @@ def cmd_lifecycle(args) -> str:
     )
     from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
 
-    events = args.events if args.events is not None else EventLog(tail_size=16384)
+    events = args.events if args.events_out else EventLog(tail_size=16384)
     tracer = SpanTracer(seed=args.seed, name="lifecycle", events=events)
     log = _seeded_ct_log(args.seed, args.log_entries)
     merge_interval = (
@@ -1124,17 +1126,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    from repro.obs import EventLog, MetricsRegistry, SpanTracer, maybe_span
+    from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_TRACER
+    from repro.obs import EventLog, MetricsRegistry, SpanTracer
 
     args = build_parser().parse_args(argv)
-    args.metrics = MetricsRegistry() if args.metrics_out else None
-    args.events = EventLog(args.events_out) if args.events_out else None
+    args.metrics = MetricsRegistry() if args.metrics_out else NULL_METRICS
+    args.events = EventLog(args.events_out) if args.events_out else NULL_EVENTS
     # Seeded IDs + the shared event log make traced runs reproducible
     # and let ``--events-out`` carry ``span`` events for later replay.
     args.tracer = (
         SpanTracer(seed=args.seed, name="cli", events=args.events)
         if (args.trace or args.trace_out)
-        else None
+        else NULL_TRACER
     )
     try:
         if args.artifact == "list":
@@ -1142,26 +1145,23 @@ def main(argv: Optional[list] = None) -> int:
             for name in sorted(COMMANDS):
                 print(f"  {name}")
             return 0
-        if args.events is not None:
-            args.events.emit(
-                "run_start",
-                artifact=args.artifact,
-                seed=args.seed,
-                workers=args.workers,
-            )
+        args.events.emit(
+            "run_start",
+            artifact=args.artifact,
+            seed=args.seed,
+            workers=args.workers,
+        )
         try:
-            with maybe_span(args.tracer, f"cli.{args.artifact}", seed=args.seed):
+            with args.tracer.span(f"cli.{args.artifact}", seed=args.seed):
                 rendered = COMMANDS[args.artifact](args)
         except Exception as exc:
-            if args.events is not None:
-                args.events.emit(
-                    "run_finish", artifact=args.artifact, ok=False, error=repr(exc)
-                )
+            args.events.emit(
+                "run_finish", artifact=args.artifact, ok=False, error=repr(exc)
+            )
             raise
         print(rendered)
-        if args.events is not None:
-            args.events.emit("run_finish", artifact=args.artifact, ok=True)
-        if args.metrics is not None:
+        args.events.emit("run_finish", artifact=args.artifact, ok=True)
+        if args.metrics_out:
             _write_json_artifact(args.metrics_out, args.metrics.snapshot().to_dict())
         if args.trace_out:
             _write_json_artifact(args.trace_out, args.tracer.to_dicts())
@@ -1170,8 +1170,7 @@ def main(argv: Optional[list] = None) -> int:
     except BrokenPipeError:  # e.g. piped into `head`
         return 0
     finally:
-        if args.events is not None:
-            args.events.close()
+        args.events.close()
     return 0
 
 

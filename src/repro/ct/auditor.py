@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ct.log import CTLog, SignedTreeHead
 from repro.ct.merkle import verify_consistency_proof, verify_inclusion_proof
@@ -29,12 +29,10 @@ from repro.ct.sct import (
     x509_signing_input,
     SctEntryType,
 )
+from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.timeutil import from_timestamp_ms
 from repro.x509.certificate import Certificate
-
-if TYPE_CHECKING:  # avoid a runtime import cycle through repro.ct
-    from repro.obs.events import EventLog
-    from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,17 @@ class AuditFinding:
     kind: str  # bad-sth-signature | inconsistent-history | missing-entry | mmd-violation | split-view
     detail: str
     observed_at: Optional[datetime] = None
+
+
+def record_finding(
+    finding: AuditFinding, metrics: MetricsRegistry, events: EventLog
+) -> None:
+    """The one obs record of a finding, whoever made it: the
+    ``auditor.findings{log=,kind=}`` counter and an ``audit_finding``
+    event."""
+    log, kind = finding.log_name, finding.kind
+    metrics.inc("auditor.findings", log=log, kind=kind)
+    events.emit("audit_finding", log=log, finding=kind, detail=finding.detail)
 
 
 @dataclass
@@ -67,21 +76,20 @@ class AuditReport:
 class LogAuditor:
     """Follows a single log and verifies its behaviour over time.
 
-    With a :class:`~repro.obs.MetricsRegistry` attached the auditor
-    records a ``auditor.poll_seconds{log=}`` latency histogram, a
-    ``auditor.tree_size{log=}`` gauge, consistency-check pass/fail
-    counters, and an ``auditor.findings{log=,kind=}`` counter per
-    finding; an attached :class:`~repro.obs.events.EventLog` receives
-    one ``auditor_poll`` event per poll and one ``audit_finding``
-    event per problem.
+    Into ``metrics`` the auditor records a ``auditor.poll_seconds{log=}``
+    latency histogram, a ``auditor.tree_size{log=}`` gauge,
+    consistency-check pass/fail counters, and an
+    ``auditor.findings{log=,kind=}`` counter per finding; ``events``
+    receives one ``auditor_poll`` event per poll and one
+    ``audit_finding`` event per problem.
     """
 
     def __init__(
         self,
         log: CTLog,
         *,
-        metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventLog"] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        events: EventLog = NULL_EVENTS,
     ) -> None:
         self._log = log
         self._last_sth: Optional[SignedTreeHead] = None
@@ -90,19 +98,11 @@ class LogAuditor:
         self.events = events
 
     def _inc(self, name: str, **labels: object) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, log=self._log.name, **labels)
+        self.metrics.inc(name, log=self._log.name, **labels)
 
     def _add_finding(self, finding: AuditFinding) -> None:
         self.report.add(finding)
-        self._inc("auditor.findings", kind=finding.kind)
-        if self.events is not None:
-            self.events.emit(
-                "audit_finding",
-                log=finding.log_name,
-                finding=finding.kind,
-                detail=finding.detail,
-            )
+        record_finding(finding, self.metrics, self.events)
 
     def observe_sth(self, sth: SignedTreeHead, now: datetime) -> None:
         """Verify a new STH and its consistency with the previous one."""
@@ -160,22 +160,20 @@ class LogAuditor:
         started = time.perf_counter()
         sth = self._log.get_sth(now)
         self.observe_sth(sth, now)
-        if self.metrics is not None:
-            self.metrics.observe(
-                "auditor.poll_seconds",
-                time.perf_counter() - started,
-                log=self._log.name,
-            )
-            self.metrics.set_gauge(
-                "auditor.tree_size", sth.tree_size, log=self._log.name
-            )
-        if self.events is not None:
-            self.events.emit(
-                "auditor_poll",
-                log=self._log.name,
-                tree_size=sth.tree_size,
-                ok=len(self.report.findings) == findings_before,
-            )
+        self.metrics.observe(
+            "auditor.poll_seconds",
+            time.perf_counter() - started,
+            log=self._log.name,
+        )
+        self.metrics.set_gauge(
+            "auditor.tree_size", sth.tree_size, log=self._log.name
+        )
+        self.events.emit(
+            "auditor_poll",
+            log=self._log.name,
+            tree_size=sth.tree_size,
+            ok=len(self.report.findings) == findings_before,
+        )
         return sth
 
     def audit_sct_inclusion(
@@ -270,19 +268,18 @@ class GossipPool:
     the same log with the same tree size but different root hashes the
     log has equivocated — cryptographic proof of misbehaviour.
 
-    Reports through the same obs surface as :class:`LogAuditor`: with
-    ``metrics=`` attached every gossiped STH counts into
-    ``gossip.sths{log=}`` and every detected fork into
-    ``auditor.findings{log=,kind="split-view"}``; with ``events=``
-    each fork emits one ``audit_finding`` event.  Resubmitting an
+    Reports through the same obs surface as :class:`LogAuditor`: every
+    gossiped STH counts into ``gossip.sths{log=}`` and every detected
+    fork into ``auditor.findings{log=,kind="split-view"}`` plus one
+    ``audit_finding`` event.  Resubmitting an
     already-flagged equivocating root does not duplicate the finding.
     """
 
     def __init__(
         self,
         *,
-        metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventLog"] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        events: EventLog = NULL_EVENTS,
     ) -> None:
         # (log name, tree size) -> (root hash, first reporter)
         self._seen: Dict[Tuple[str, int], Tuple[bytes, str]] = {}
@@ -303,8 +300,7 @@ class GossipPool:
     ) -> Optional[AuditFinding]:
         """Record an observed STH; returns a finding on equivocation."""
         self.sths_gossiped += 1
-        if self.metrics is not None:
-            self.metrics.inc("gossip.sths", log=log_name)
+        self.metrics.inc("gossip.sths", log=log_name)
         key = (log_name, sth.tree_size)
         known = self._seen.get(key)
         if known is None:
@@ -336,15 +332,7 @@ class GossipPool:
                 observed_at=now,
             )
         )
-        if self.metrics is not None:
-            self.metrics.inc("auditor.findings", log=log_name, kind=finding.kind)
-        if self.events is not None:
-            self.events.emit(
-                "audit_finding",
-                log=finding.log_name,
-                finding=finding.kind,
-                detail=finding.detail,
-            )
+        record_finding(finding, self.metrics, self.events)
         return finding
 
     @property

@@ -51,12 +51,12 @@ from typing import (
 
 from repro.ct.log import CTLog, LogEntry
 from repro.ct.monitor import FEED_TAIL, LogTail, as_transport
+from repro.obs.events import NULL_EVENTS, EventLog, SnapshotDeltaFlusher
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 if TYPE_CHECKING:  # avoid a runtime import cycle through repro.ct
     from repro.dataset.live import LiveAnalytics
-    from repro.obs.events import EventLog
     from repro.obs.health import HealthReport, SloPolicy
-    from repro.obs.metrics import MetricsRegistry
     from repro.resilience.retry import RetryPolicy
 
 
@@ -99,8 +99,8 @@ class CertFeed:
         *,
         max_queue: int = 10_000,
         retry: Optional["RetryPolicy"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventLog"] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        events: EventLog = NULL_EVENTS,
         flush_interval_s: Optional[float] = None,
         analytics: Optional["LiveAnalytics"] = None,
     ) -> None:
@@ -119,12 +119,10 @@ class CertFeed:
             self.tail.start(transport.name, transport.tree_size())
         self._flusher = None
         if flush_interval_s is not None:
-            if events is None or metrics is None:
+            if events is NULL_EVENTS or metrics is NULL_METRICS:
                 raise ValueError(
                     "flush_interval_s needs both events= and metrics= attached"
                 )
-            from repro.obs.events import SnapshotDeltaFlusher
-
             self._flusher = SnapshotDeltaFlusher(
                 metrics, events, interval_s=flush_interval_s
             )
@@ -192,7 +190,7 @@ class CertFeed:
             sub.callback(FeedEvent(log_name, entry, submitted_at))
             sub.delivered += 1
             replayed += 1
-        if self.metrics is not None and replayed:
+        if replayed:
             self.metrics.inc("feed.backfill_events", replayed, subscriber=name)
         return replayed
 
@@ -227,11 +225,10 @@ class CertFeed:
                     dropped += 1
                     continue
                 sub.queue.append(event)
-        if self.metrics is not None:
-            if fresh:
-                self.metrics.inc("feed.events_emitted", len(fresh))
-            if dropped:
-                self.metrics.inc("feed.events_dropped", dropped)
+        if fresh:
+            self.metrics.inc("feed.events_emitted", len(fresh))
+        if dropped:
+            self.metrics.inc("feed.events_dropped", dropped)
         if self._flusher is not None:
             self._flusher.maybe_flush()
         return len(fresh)
@@ -281,7 +278,7 @@ class CertFeed:
                 sub.delivered += 1
                 delivered += 1
                 pending = True
-        if self.metrics is not None and delivered:
+        if delivered:
             self.metrics.inc("feed.deliveries", delivered)
         return delivered
 

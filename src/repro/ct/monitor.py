@@ -62,7 +62,7 @@ from typing import (
     Union,
 )
 
-from repro.ct.auditor import AuditFinding
+from repro.ct.auditor import AuditFinding, record_finding
 from repro.ct.log import BatchDigest, CTLog, LogEntry, SignedTreeHead
 from repro.ct.merkle import (
     leaf_hash,
@@ -70,14 +70,13 @@ from repro.ct.merkle import (
     verify_inclusion_proof,
 )
 from repro.ct.server import LogClient, page_entries
-from repro.obs.trace import maybe_span
+from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.util.rng import SeededRng
 
 if TYPE_CHECKING:  # avoid a runtime import cycle through repro.ct
-    from repro.obs.events import EventLog
     from repro.obs.health import HealthReport, SloPolicy
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.trace import SpanTracer
     from repro.resilience.retry import RetryPolicy
 
 
@@ -211,8 +210,9 @@ class HttpTransport(LogTransport):
     it lands, so the ledger stays exact even when a fault mid-range
     forces the caller's retry layer to refetch (the books balance
     against the byte/request counters, which also count every
-    attempt).  ``tracer`` propagates to the
-    client, which injects the trace-context header per request.
+    attempt).  ``tracer`` propagates to the client, which injects the
+    trace-context header per request; a client handed in keeps a tracer
+    of its own.
     """
 
     def __init__(
@@ -223,12 +223,12 @@ class HttpTransport(LogTransport):
         page_size: int = 512,
         timeout: float = 10.0,
         client_id: Optional[str] = None,
-        tracer: Optional["SpanTracer"] = None,
+        tracer: SpanTracer = NULL_TRACER,
     ) -> None:
         super().__init__(name)
         if isinstance(target, LogClient):
             self.client = target
-            if tracer is not None and self.client.tracer is None:
+            if self.client.tracer is NULL_TRACER:
                 self.client.tracer = tracer
         else:
             self.client = LogClient(
@@ -357,9 +357,9 @@ class LogTail:
     skipped.  A failed ``get-sth`` over HTTP, or a page
     :func:`~repro.ct.server.page_entries` rejects, counts the same way.
 
-    With ``metrics=`` / ``events=`` attached every fetch records the
-    ``names`` counters and one ``names.event`` event, labelled with
-    ``labels`` plus ``log=``.
+    Every fetch records the ``names`` counters into ``metrics`` and one
+    ``names.event`` event into ``events``, labelled with ``labels``
+    plus ``log=``.
     """
 
     def __init__(
@@ -367,8 +367,8 @@ class LogTail:
         names: TailNames,
         *,
         retry: Optional["RetryPolicy"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventLog"] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        events: EventLog = NULL_EVENTS,
         labels: Optional[Dict[str, str]] = None,
     ) -> None:
         self.names = names
@@ -416,22 +416,16 @@ class LogTail:
         stats["retries"] += retried
         self._stats[name] = stats
         labels = dict(self.labels, log=name)
-        if self.metrics is not None:
-            if entries is None:
-                self.metrics.inc(self.names.errors, **labels)
-            else:
-                self.metrics.observe(
-                    self.names.fetch_seconds,
-                    time.perf_counter() - started,
-                    **labels,
-                )
-                self.metrics.inc(self.names.entries, len(entries), **labels)
-            if retried:
-                self.metrics.inc(self.names.retries, retried, **labels)
-        if self.events is not None:
-            self.events.emit(
-                self.names.event, **labels, **fields, retried=retried
+        if entries is None:
+            self.metrics.inc(self.names.errors, **labels)
+        else:
+            self.metrics.observe(
+                self.names.fetch_seconds, time.perf_counter() - started, **labels
             )
+            self.metrics.inc(self.names.entries, len(entries), **labels)
+        if retried:
+            self.metrics.inc(self.names.retries, retried, **labels)
+        self.events.emit(self.names.event, **labels, **fields, retried=retried)
         return entries or []
 
     def log_health(self) -> Dict[str, Dict[str, int]]:
@@ -464,8 +458,8 @@ class _ReplayMonitor:
         self,
         name: str,
         retry: Optional["RetryPolicy"],
-        metrics: Optional["MetricsRegistry"],
-        events: Optional["EventLog"],
+        metrics: MetricsRegistry,
+        events: EventLog,
     ) -> None:
         self.name = name
         self.tail = LogTail(
@@ -520,8 +514,8 @@ class StreamingMonitor(_ReplayMonitor):
         latency_range_s: "tuple[float, float]" = (60.0, 180.0),
         base_offset_s: float = 0.0,
         retry: Optional["RetryPolicy"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventLog"] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        events: EventLog = NULL_EVENTS,
     ) -> None:
         super().__init__(name, retry, metrics, events)
         self._rng = rng.fork(f"stream:{name}")
@@ -549,8 +543,8 @@ class BatchMonitor(_ReplayMonitor):
         interval: timedelta = timedelta(hours=2),
         processing_delay_s: float = 30.0,
         retry: Optional["RetryPolicy"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventLog"] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        events: EventLog = NULL_EVENTS,
     ) -> None:
         super().__init__(name, retry, metrics, events)
         self._rng = rng.fork(f"batch:{name}")
@@ -620,9 +614,9 @@ class LightweightMonitor:
         domains: Iterable[str],
         *,
         key: Optional[object] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventLog"] = None,
-        tracer: Optional["SpanTracer"] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        events: EventLog = NULL_EVENTS,
+        tracer: SpanTracer = NULL_TRACER,
     ) -> None:
         self.name = name
         self.domains: Tuple[str, ...] = tuple(
@@ -656,15 +650,7 @@ class LightweightMonitor:
     ) -> None:
         finding = AuditFinding(log_name, kind, detail, now)
         self.findings.append(finding)
-        if self.metrics is not None:
-            self.metrics.inc("auditor.findings", log=log_name, kind=kind)
-        if self.events is not None:
-            self.events.emit(
-                "audit_finding",
-                log=log_name,
-                finding=kind,
-                detail=detail,
-            )
+        record_finding(finding, self.metrics, self.events)
 
     def _verify_entry(
         self,
@@ -719,13 +705,11 @@ class LightweightMonitor:
     ) -> List[LogObservation]:
         """One verification round; returns matching-entry observations.
 
-        With a tracer attached the round runs under a ``monitor.poll``
-        client root span (its HTTP calls become child spans carrying
-        the trace across the wire).
+        The round runs under a ``monitor.poll`` client root span (its
+        HTTP calls become child spans carrying the trace across the
+        wire).
         """
         transport = as_transport(target)
-        if self.tracer is None:
-            return self._poll(transport, now)
         with self.tracer.span(
             "monitor.poll",
             kind="client",
@@ -775,8 +759,7 @@ class LightweightMonitor:
                     if not self.matches(claimed):
                         continue
                     self.entries_matched += 1
-                    with maybe_span(
-                        self.tracer,
+                    with self.tracer.span(
                         "monitor.match",
                         monitor=self.name,
                         log=name,
@@ -786,8 +769,7 @@ class LightweightMonitor:
                         entry = self._verify_entry(
                             transport, sth, index, claimed, when
                         )
-                        if match_span is not None:
-                            match_span.set("verified", entry is not None)
+                        match_span.set("verified", entry is not None)
                     if entry is not None:
                         observations.append(
                             LogObservation(
@@ -805,20 +787,18 @@ class LightweightMonitor:
             )
         self._verified[name] = sth
         self._account(transport, before, sth, len(observations))
-        ok = len(self.findings) == findings_before
-        if self.events is not None:
-            after = transport.stats()
-            self.events.emit(
-                "lightweight_poll",
-                monitor=self.name,
-                log=name,
-                tree_size=sth.tree_size,
-                cursor=self._cursors.get(name, 0),
-                matches=len(observations),
-                wire_entries=after["entries"] - before["entries"],
-                wire_bytes=after["bytes"] - before["bytes"],
-                ok=ok,
-            )
+        after = transport.stats()
+        self.events.emit(
+            "lightweight_poll",
+            monitor=self.name,
+            log=name,
+            tree_size=sth.tree_size,
+            cursor=self._cursors.get(name, 0),
+            matches=len(observations),
+            wire_entries=after["entries"] - before["entries"],
+            wire_bytes=after["bytes"] - before["bytes"],
+            ok=len(self.findings) == findings_before,
+        )
         return observations
 
     # ``watch_logs`` duck-type: a lightweight monitor drops into any
@@ -957,22 +937,13 @@ class LightweightMonitor:
         self.wire_entries[name] = self.wire_entries.get(name, 0) + entries
         self.wire_bytes[name] = self.wire_bytes.get(name, 0) + moved
         self.wire_requests[name] = self.wire_requests.get(name, 0) + requests
-        if self.metrics is not None:
-            self.metrics.inc(
-                "monitor.wire_entries", entries, monitor=self.name, log=name
-            )
-            self.metrics.inc(
-                "monitor.wire_bytes", moved, monitor=self.name, log=name
-            )
-            self.metrics.inc(
-                "monitor.matches", matched, monitor=self.name, log=name
-            )
-            self.metrics.set_gauge(
-                "monitor.verified_tree_size",
-                sth.tree_size,
-                monitor=self.name,
-                log=name,
-            )
+        labels = {"monitor": self.name, "log": name}
+        self.metrics.inc("monitor.wire_entries", entries, **labels)
+        self.metrics.inc("monitor.wire_bytes", moved, **labels)
+        self.metrics.inc("monitor.matches", matched, **labels)
+        self.metrics.set_gauge(
+            "monitor.verified_tree_size", sth.tree_size, **labels
+        )
 
     def wire_stats(self) -> Dict[str, int]:
         """Cumulative wire cost over every log this monitor polled."""

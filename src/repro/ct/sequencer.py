@@ -63,7 +63,9 @@ from repro.ct.sct import (
     precert_signing_input,
     x509_signing_input,
 )
-from repro.obs.trace import SpanTracer, maybe_span
+from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.obs.tracectx import TraceContext
 from repro.util.timeutil import timestamp_ms
 from repro.x509 import crypto
@@ -162,14 +164,17 @@ class LogSequencer:
         a batch.  Defaults to a private RLock —
         :class:`~repro.ct.server.LogServer` passes its per-log lock so
         HTTP readers and merges stay mutually consistent.
-    metrics / events / telemetry_lock:
-        Optional obs sinks (duck-typed, same as the server middleware).
+    metrics / events:
+        Obs sinks (the server middleware shares them); the null sinks
+        by default.  The registry is thread-safe, so submitters and
+        the merge worker record into it directly.
     tracer:
-        Optional :class:`~repro.obs.trace.SpanTracer`.  ``submit``
-        records the submitting span's context on the pending entry;
-        every ``merge`` then runs under one ``sequencer.merge``
-        consumer span *linked* to all folded submissions (one merge,
-        N links — the async-boundary case).  ``None`` changes nothing.
+        :class:`~repro.obs.trace.SpanTracer`.  ``submit`` records the
+        submitting span's context on the pending entry; every
+        ``merge`` then runs under one ``sequencer.merge`` consumer
+        span *linked* to all folded submissions (one merge, N links —
+        the async-boundary case).  The default
+        :data:`~repro.obs.trace.NULL_TRACER` records no span.
     """
 
     def __init__(
@@ -180,10 +185,9 @@ class LogSequencer:
         merge_interval: Optional[float] = None,
         clock: Optional[Clock] = None,
         tree_lock: Optional[threading.RLock] = None,
-        metrics: Optional[object] = None,
-        events: Optional[object] = None,
-        telemetry_lock: Optional[threading.Lock] = None,
-        tracer: Optional[SpanTracer] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        events: EventLog = NULL_EVENTS,
+        tracer: SpanTracer = NULL_TRACER,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -198,7 +202,6 @@ class LogSequencer:
         self._clock = clock if clock is not None else _utc_now
         self._metrics = metrics
         self._events = events
-        self._telemetry_lock = telemetry_lock or threading.Lock()
         self._tracer = tracer
         # Admission/dedup state: guards the pending map, the queue, and
         # the log's capacity counters.  Held only for dict/deque ops —
@@ -264,7 +267,9 @@ class LogSequencer:
             merged = log.cached_sct(cache_key)
             if merged is not None:
                 self._dedup_hits += 1
-                self._note_dedup("merged")
+                self._metrics.inc(
+                    "sequencer.dedup_hits", log=log.name, state="merged"
+                )
                 return merged
             pending = self._pending.get(cache_key)
             if pending is None:
@@ -275,17 +280,16 @@ class LogSequencer:
                 pending = _PendingEntry(
                     cache_key, entry_input, entry_type, cert, when
                 )
-                if self._tracer is not None:
-                    # The submitting span (e.g. the server span for
-                    # this add-pre-chain call) is open on this thread.
-                    pending.trace_context = self._tracer.current_context()
+                # The submitting span (e.g. the server span for this
+                # add-pre-chain call) is open on this thread.
+                pending.trace_context = self._tracer.current_context()
                 self._pending[cache_key] = pending
                 owner = True
             else:
                 self._dedup_hits += 1
                 owner = False
         if not owner:
-            self._note_dedup("pending")
+            self._metrics.inc("sequencer.dedup_hits", log=log.name, state="pending")
             # The original submitter is signing right now; its entry is
             # already reserved, so we never enqueue a second one.
             pending.ready.wait(timeout=_DEDUP_WAIT_S)
@@ -309,7 +313,7 @@ class LogSequencer:
             self._queue.append(pending)
             depth = len(self._queue)
         pending.ready.set()
-        self._note_depth(depth)
+        self._metrics.set_gauge("sequencer.pending_depth", depth, log=log.name)
         return sct
 
     # -- merging (MMD) -------------------------------------------------------
@@ -343,8 +347,7 @@ class LogSequencer:
             links = [
                 p.trace_context for p in batch if p.trace_context is not None
             ]
-            with maybe_span(
-                self._tracer,
+            with self._tracer.span(
                 "sequencer.merge",
                 kind="consumer",
                 links=links,
@@ -388,10 +391,9 @@ class LogSequencer:
                 self._max_batch_merged = max(self._max_batch_merged, len(batch))
                 self._max_lag_s = max(self._max_lag_s, lag)
                 self._note_merge(batch, lag, depth, size)
-                if span is not None:
-                    span.set("merged", len(batch))
-                    span.set("tree_size", size)
-                    span.set("lag_s", round(lag, 6))
+                span.set("merged", len(batch))
+                span.set("tree_size", size)
+                span.set("lag_s", round(lag, 6))
                 return MergeResult(
                     merged=len(batch), tree_size=size, sth=sth, max_lag_s=lag
                 )
@@ -508,20 +510,6 @@ class LogSequencer:
 
     # -- obs wiring ----------------------------------------------------------
 
-    def _note_depth(self, depth: int) -> None:
-        if self._metrics is not None:
-            with self._telemetry_lock:
-                self._metrics.set_gauge(
-                    "sequencer.pending_depth", depth, log=self.log.name
-                )
-
-    def _note_dedup(self, state: str) -> None:
-        if self._metrics is not None:
-            with self._telemetry_lock:
-                self._metrics.inc(
-                    "sequencer.dedup_hits", log=self.log.name, state=state
-                )
-
     def _note_merge(
         self,
         batch: List[_PendingEntry],
@@ -529,32 +517,24 @@ class LogSequencer:
         depth: int,
         tree_size: int,
     ) -> None:
-        if self._metrics is not None:
-            with self._telemetry_lock:
-                self._metrics.inc("sequencer.merges", log=self.log.name)
-                self._metrics.inc(
-                    "sequencer.entries_merged", len(batch), log=self.log.name
-                )
-                self._metrics.observe(
-                    "sequencer.merge_batch_size",
-                    len(batch),
-                    bounds=BATCH_SIZE_BOUNDS,
-                    log=self.log.name,
-                )
-                self._metrics.observe(
-                    "sequencer.merge_lag_seconds", lag_s, log=self.log.name
-                )
-                self._metrics.set_gauge(
-                    "sequencer.pending_depth", depth, log=self.log.name
-                )
-        if self._events is not None:
-            self._events.emit(
-                "sequencer_merge",
-                log=self.log.name,
-                batch=len(batch),
-                tree_size=tree_size,
-                max_lag_ms=round(lag_s * 1e3, 3),
-            )
+        name = self.log.name
+        self._metrics.inc("sequencer.merges", log=name)
+        self._metrics.inc("sequencer.entries_merged", len(batch), log=name)
+        self._metrics.observe(
+            "sequencer.merge_batch_size",
+            len(batch),
+            bounds=BATCH_SIZE_BOUNDS,
+            log=name,
+        )
+        self._metrics.observe("sequencer.merge_lag_seconds", lag_s, log=name)
+        self._metrics.set_gauge("sequencer.pending_depth", depth, log=name)
+        self._events.emit(
+            "sequencer_merge",
+            log=name,
+            batch=len(batch),
+            tree_size=tree_size,
+            max_lag_ms=round(lag_s * 1e3, 3),
+        )
 
 
 __all__ = [

@@ -92,7 +92,9 @@ from repro.ct.merkle import MerkleTree
 from repro.ct.sequencer import DEFAULT_MAX_BATCH, LogSequencer
 from repro.ct.sct import SctEntryType, SignedCertificateTimestamp
 from repro.ct.storage import certificate_from_dict, certificate_to_dict
-from repro.obs.trace import SpanTracer
+from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.obs.tracectx import TRACEPARENT_HEADER, TraceContext
 from repro.util.httpd import ClientConnection, FramedRequestHandler, HttpServerHandle
 from repro.util.timeutil import from_timestamp_ms, timestamp_ms
@@ -358,17 +360,18 @@ class LogServer:
         Injectable UTC-now source stamping STHs and submissions
         (deterministic tests/storms pass a simulated clock).
     metrics / events:
-        Optional obs sinks for the request-logging middleware; pass
-        ``telemetry_lock`` when the registry is shared with another
-        thread (the registry itself is not thread-safe).
+        Obs sinks for the request-logging middleware (the null sinks
+        by default).  Handler threads record into the thread-safe
+        registry directly, and server-created sequencers share both.
     tracer:
-        Optional :class:`~repro.obs.trace.SpanTracer` (thread-safe).
-        The middleware opens one ``server.<endpoint>`` span per
-        request, parented on the client span named by the incoming
+        :class:`~repro.obs.trace.SpanTracer` (thread-safe).  The
+        middleware opens one ``server.<endpoint>`` span per request,
+        parented on the client span named by the incoming
         ``X-Repro-Traceparent`` header — the cross-process half of a
         distributed trace.  Server-created sequencers share the
         tracer, so merges emit consumer spans linked to the folded
-        submissions.  Tracing off (``None``) changes nothing.
+        submissions.  The default :data:`~repro.obs.trace.NULL_TRACER`
+        records no span.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port — the shared
         :class:`repro.util.httpd.HttpServerHandle` behaviour, identical
@@ -395,10 +398,9 @@ class LogServer:
         ],
         *,
         clock: Optional[Clock] = None,
-        metrics: Optional[object] = None,
-        events: Optional[object] = None,
-        telemetry_lock: Optional[threading.Lock] = None,
-        tracer: Optional[SpanTracer] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        events: EventLog = NULL_EVENTS,
+        tracer: SpanTracer = NULL_TRACER,
         host: str = "127.0.0.1",
         port: int = 0,
         page_limit: int = DEFAULT_PAGE_LIMIT,
@@ -417,7 +419,6 @@ class LogServer:
         self._clock = clock if clock is not None else _utc_now
         self._metrics = metrics
         self._events = events
-        self._telemetry_lock = telemetry_lock or threading.Lock()
         self._tracer = tracer
         # Sequencers the server itself created (merge_interval mode):
         # their background workers follow the server's start()/stop().
@@ -439,7 +440,6 @@ class LogServer:
                     clock=self._clock,
                     metrics=metrics,
                     events=events,
-                    telemetry_lock=self._telemetry_lock,
                     tracer=tracer,
                 )
                 self._own_sequencers.append(log)
@@ -535,12 +535,10 @@ class LogServer:
         ``client`` is the requester's self-declared identity (the
         ``X-Repro-Client`` header) — only consulted by split-view
         mounts to pick which side of the partition answers reads.
-        ``traceparent`` is the raw ``X-Repro-Traceparent`` header; with
-        a tracer attached the request runs under a ``server.<endpoint>``
-        span parented on the remote client span it names.
+        ``traceparent`` is the raw ``X-Repro-Traceparent`` header; the
+        request runs under a ``server.<endpoint>`` span parented on the
+        remote client span it names.
         """
-        if self._tracer is None:
-            return self._handle_routed(method, path, query, body, client)
         parent = TraceContext.parse(traceparent)
         with self._tracer.span(
             "server.request", kind="server", parent=parent
@@ -634,22 +632,17 @@ class LogServer:
     ) -> Tuple[int, Dict[str, object], str]:
         """Request-logging middleware: histogram + counter + event."""
         duration = time.perf_counter() - started
-        if self._metrics is not None:
-            with self._telemetry_lock:
-                self._metrics.observe(
-                    "log_server.request_seconds", duration, endpoint=endpoint
-                )
-                self._metrics.inc(
-                    "log_server.responses", endpoint=endpoint, status=status
-                )
-        if self._events is not None:
-            self._events.emit(
-                "log_server_request",
-                endpoint=endpoint,
-                status=status,
-                log=slug,
-                duration_ms=round(duration * 1e3, 3),
-            )
+        self._metrics.observe(
+            "log_server.request_seconds", duration, endpoint=endpoint
+        )
+        self._metrics.inc("log_server.responses", endpoint=endpoint, status=status)
+        self._events.emit(
+            "log_server_request",
+            endpoint=endpoint,
+            status=status,
+            log=slug,
+            duration_ms=round(duration * 1e3, 3),
+        )
         return status, payload, endpoint
 
     # -- endpoint bodies -----------------------------------------------------
@@ -986,7 +979,8 @@ class LogClient:
     With a ``tracer`` attached, every call runs under an
     ``http.<endpoint>`` client span whose context is injected as the
     ``X-Repro-Traceparent`` header, so the server's span joins this
-    client's trace.  Tracing off changes nothing on the wire.
+    client's trace.  The default :data:`~repro.obs.trace.NULL_TRACER`
+    sends no such header.
     """
 
     def __init__(
@@ -995,7 +989,7 @@ class LogClient:
         *,
         timeout: float = 10.0,
         client_id: Optional[str] = None,
-        tracer: Optional[SpanTracer] = None,
+        tracer: SpanTracer = NULL_TRACER,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
@@ -1029,8 +1023,6 @@ class LogClient:
         params: Optional[Mapping[str, object]] = None,
         post_body: Optional[Mapping[str, object]] = None,
     ) -> Dict[str, object]:
-        if self.tracer is None:
-            return self._request(endpoint, params, post_body)
         with self.tracer.span(f"http.{endpoint}", kind="client") as span:
             if self.client_id:
                 span.set("client", self.client_id)

@@ -16,6 +16,7 @@ from typing import Dict, Iterator, Optional, Union
 
 from repro.ct.log import CTLog, LogEntry
 from repro.ct.sct import SctEntryType
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.timeutil import from_timestamp_ms, timestamp_ms
 from repro.x509.certificate import Certificate, Extension, GeneralName, SanType
 
@@ -101,7 +102,7 @@ def iter_stored_entries(
     path: Union[str, Path],
     *,
     on_corrupt: str = "skip",
-    metrics: Optional[object] = None,
+    metrics: MetricsRegistry = NULL_METRICS,
 ) -> Iterator[dict]:
     """Stream raw records (entries then the trailer) from a harvest file.
 
@@ -115,8 +116,7 @@ def iter_stored_entries(
 
     ``on_corrupt="raise"`` restores the strict behaviour and raises
     :class:`LogStorageError` on the first undecodable line.  ``metrics``
-    (a duck-typed :class:`repro.obs.MetricsRegistry`) counts skipped
-    lines as ``storage.corrupt_lines_skipped``.
+    counts skipped lines as ``storage.corrupt_lines_skipped``.
     """
     if on_corrupt not in ("skip", "raise"):
         raise ValueError(
@@ -134,8 +134,7 @@ def iter_stored_entries(
                     raise LogStorageError(
                         f"corrupt harvest line {number} in {path}: {exc}"
                     ) from exc
-                if metrics is not None:
-                    metrics.inc("storage.corrupt_lines_skipped")
+                metrics.inc("storage.corrupt_lines_skipped")
                 continue
             if not isinstance(record, dict):
                 if on_corrupt == "raise":
@@ -143,8 +142,7 @@ def iter_stored_entries(
                         f"corrupt harvest line {number} in {path}: "
                         "record is not an object"
                     )
-                if metrics is not None:
-                    metrics.inc("storage.corrupt_lines_skipped")
+                metrics.inc("storage.corrupt_lines_skipped")
                 continue
             yield record
 
@@ -182,8 +180,8 @@ class HarvestCheckpoint:
     :class:`LogStorageError` instead of silently resuming from
     partials that no longer describe the data.
 
-    An optional :class:`repro.obs.MetricsRegistry` (``metrics=``)
-    counts records as they land: ``checkpoint.shards_recorded``,
+    A :class:`repro.obs.MetricsRegistry` (``metrics=``) counts records
+    as they land: ``checkpoint.shards_recorded``,
     ``checkpoint.duplicate_records`` (re-records ignored under the
     first-write-wins rule), and ``checkpoint.degraded_markers``.
     """
@@ -198,7 +196,7 @@ class HarvestCheckpoint:
         shard_size: int,
         tree_size: int,
         root_hash: str,
-        metrics: Optional[object] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         self.path = Path(path)
         self.pass_name = pass_name
@@ -215,7 +213,7 @@ class HarvestCheckpoint:
         pass_name: str,
         shard_size: int,
         suffix: str = ".checkpoint",
-        metrics: Optional[object] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> "HarvestCheckpoint":
         """Open the sidecar checkpoint for a harvest file's current state."""
         trailer = read_tree_head(harvest_path)
@@ -324,8 +322,7 @@ class HarvestCheckpoint:
         if self._recorded is None:
             self._recorded = set(self.completed()) if self.path.exists() else set()
         if index in self._recorded:
-            if self.metrics is not None:
-                self.metrics.inc("checkpoint.duplicate_records")
+            self.metrics.inc("checkpoint.duplicate_records")
             return
         record: Dict[str, object] = {
             "type": "shard",
@@ -336,8 +333,7 @@ class HarvestCheckpoint:
             record["attempts"] = attempts
         self._append(record)
         self._recorded.add(index)
-        if self.metrics is not None:
-            self.metrics.inc("checkpoint.shards_recorded")
+        self.metrics.inc("checkpoint.shards_recorded")
 
     def record_degraded(self, report: object) -> None:
         """Append a degraded-run marker (failed shard indices + retries).
@@ -352,8 +348,7 @@ class HarvestCheckpoint:
                 "retries": int(getattr(report, "retries", 0)),
             }
         )
-        if self.metrics is not None:
-            self.metrics.inc("checkpoint.degraded_markers")
+        self.metrics.inc("checkpoint.degraded_markers")
 
     def fault_stats(self) -> Dict[str, object]:
         """Aggregate retry/degradation accounting out of the sidecar."""

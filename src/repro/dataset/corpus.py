@@ -56,7 +56,7 @@ from typing import (
 
 from repro.ct.log import CTLog, LogEntry
 from repro.ct.sct import SctEntryType
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.timeutil import month_key
 
 _T = TypeVar("_T")
@@ -333,7 +333,7 @@ class CertCorpus:
         logs: Union[Mapping[str, CTLog], Iterable[CTLog]],
         *,
         with_names: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> "CertCorpus":
         """Build the corpus from in-memory logs, in serial scan order.
 
@@ -355,7 +355,7 @@ class CertCorpus:
         path: Union[str, Path],
         *,
         with_names: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> "CertCorpus":
         """Stream the corpus from a ``ct.storage`` JSON-lines harvest.
 
@@ -363,9 +363,8 @@ class CertCorpus:
         intermediate entry list); the log name is taken from the
         tree-head trailer.  Corrupt trailing lines are skipped with a
         counter (see :func:`repro.ct.storage.iter_stored_entries`) and
-        duplicate entry indices are dropped first-record-wins, with a
-        ``dataset.duplicate_entries_skipped`` counter when ``metrics``
-        is attached.
+        duplicate entry indices are dropped first-record-wins, counted
+        into ``metrics`` as ``dataset.duplicate_entries_skipped``.
         """
         from repro.ct.storage import certificate_from_dict, iter_stored_entries
         from repro.util.timeutil import from_timestamp_ms
@@ -400,7 +399,7 @@ class CertCorpus:
                 tuple(cert.dns_names()) if with_names else (),
             )
         corpus._rename_all_logs(log_name)
-        if metrics is not None and duplicates:
+        if duplicates:
             metrics.inc("dataset.duplicate_entries_skipped", duplicates)
         _record_build_metrics(corpus, time.perf_counter() - started, metrics)
         return corpus
@@ -724,11 +723,9 @@ def _view_of(corpus: CertCorpus) -> CorpusView:
 
 
 def _record_build_metrics(
-    corpus: CertCorpus, seconds: float, metrics: Optional[MetricsRegistry]
+    corpus: CertCorpus, seconds: float, metrics: MetricsRegistry
 ) -> None:
     """Corpus build observability: time, size, and density gauges."""
-    if metrics is None:
-        return
     metrics.observe("dataset.corpus_build_seconds", seconds)
     metrics.set_gauge("dataset.corpus_records", len(corpus))
     if len(corpus):

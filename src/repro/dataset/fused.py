@@ -12,7 +12,7 @@ Both hand ``(graph, records)`` payloads to a
 partials through the graph, so serial (one shard) and process-pool
 runs produce bit-identical results for every registered pass at once.
 
-Observability (when the engine carries a
+Observability (counted into the engine's
 :class:`repro.obs.MetricsRegistry`):
 
 * ``dataset.shard_traversals`` — actual record-loop runs; the fused
@@ -103,14 +103,13 @@ def _run(
     fused = graph.traversals_fused()
 
     def reduce_fn(shard_results: Sequence[ShardResult]) -> Dict[str, Any]:
-        if metrics is not None:
-            for result in shard_results:
-                metrics.inc("dataset.shard_traversals", result.traversals)
-                metrics.inc("dataset.records_scanned", result.records)
-                metrics.inc(
-                    "dataset.separate_traversals_avoided",
-                    (fused - 1) * result.traversals,
-                )
+        for result in shard_results:
+            metrics.inc("dataset.shard_traversals", result.traversals)
+            metrics.inc("dataset.records_scanned", result.records)
+            metrics.inc(
+                "dataset.separate_traversals_avoided",
+                (fused - 1) * result.traversals,
+            )
         return graph.reduce([result.partials for result in shard_results])
 
     return engine.map_reduce(fused_shard_task, tasks, reduce_fn)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import threading
 from datetime import date
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -42,11 +41,9 @@ from repro.ct.sct import SctEntryType
 from repro.dataset.corpus import CertRecord, CorpusDelta
 from repro.dataset.graph import PassGraph
 from repro.dataset.sections import section2_graph
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.stats import Counter2D
 from repro.util.timeutil import month_key
-
-if TYPE_CHECKING:  # avoid a runtime import cycle through repro.ct
-    from repro.obs.metrics import MetricsRegistry
 
 #: Schema version of the ``to_dict`` / ``GET /analytics`` payload.
 ANALYTICS_SCHEMA_VERSION = 1
@@ -69,7 +66,7 @@ class LiveAnalytics:
         graph: Optional[PassGraph] = None,
         *,
         with_names: bool = False,
-        metrics: Optional["MetricsRegistry"] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         self.graph = graph if graph is not None else section2_graph()
         self.with_names = with_names
@@ -109,10 +106,9 @@ class LiveAnalytics:
             count = self.graph.fold_into(self._states, records)
             self.records_folded += count
             self.batches_folded += 1
-        if self.metrics is not None:
-            self.metrics.inc("dataset.live_batches")
-            if count:
-                self.metrics.inc("dataset.live_records", count)
+        self.metrics.inc("dataset.live_batches")
+        if count:
+            self.metrics.inc("dataset.live_records", count)
         return count
 
     def fold_events(self, events: Iterable[Any]) -> int:

@@ -34,6 +34,12 @@ dependency-free and deterministic where it matters:
   :func:`evaluate_stats` folds fetch counters into
   ``healthy|degraded|failing`` verdicts under an :class:`SloPolicy`.
 
+Telemetry is never absent: :data:`NULL_METRICS`, :data:`NULL_EVENTS`
+and :data:`NULL_TRACER` are the defaults of every ``metrics=``,
+``events=`` and ``tracer=`` parameter.  They accept every recording
+call and keep nothing, so instrumented code records unconditionally
+and has one code path.
+
 Wired consumers: :class:`repro.pipeline.PipelineEngine` (per-shard
 duration, queue wait, attempts, degraded shards, checkpoint resume hit
 rate, lifecycle events), :class:`repro.ct.CertFeed` and the Section 6
@@ -50,6 +56,7 @@ artifact), and the benchmark harness (JSON sidecars).
 from repro.obs.events import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
+    NULL_EVENTS,
     EventLog,
     SnapshotDeltaFlusher,
     counter_delta,
@@ -81,6 +88,7 @@ from repro.obs.health import (
 from repro.obs.metrics import (
     COUNT_BOUNDS,
     DEFAULT_TIME_BOUNDS,
+    NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
@@ -88,7 +96,7 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     metric_key,
 )
-from repro.obs.trace import Span, SpanTracer, maybe_span
+from repro.obs.trace import NULL_SPAN, NULL_TRACER, Span, SpanTracer
 from repro.obs.tracectx import (
     SPAN_KINDS,
     SPAN_RECORD_FIELDS,
@@ -108,6 +116,10 @@ __all__ = [
     "EVENT_KINDS",
     "EVENT_SCHEMA_VERSION",
     "EXPOSITION_CONTENT_TYPE",
+    "NULL_EVENTS",
+    "NULL_METRICS",
+    "NULL_SPAN",
+    "NULL_TRACER",
     "SPAN_KINDS",
     "SPAN_RECORD_FIELDS",
     "TRACEPARENT_HEADER",
@@ -136,7 +148,6 @@ __all__ = [
     "evaluate_stats",
     "evaluate_write_path",
     "format_number",
-    "maybe_span",
     "metric_key",
     "new_run_id",
     "normalize_span_record",

@@ -28,6 +28,9 @@ run, and the replay is how tests prove they agree.
 registry against the last flush on an interval and emits the delta as
 a ``metrics_flush`` event, so tailing the event log shows counters
 move while the loop is still running.
+
+:data:`NULL_EVENTS` is the log every instrumented layer emits into
+when none is attached: it writes nothing.
 """
 
 from __future__ import annotations
@@ -191,6 +194,22 @@ class EventLog:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class _NullEventLog(EventLog):
+    """An event log that writes nothing; see :data:`NULL_EVENTS`."""
+
+    def emit(self, kind: str, **fields: object) -> Dict[str, object]:
+        return {}
+
+    def __reduce__(self) -> str:
+        return "NULL_EVENTS"
+
+
+#: The default ``events=`` of every instrumented layer: :meth:`emit`
+#: records nothing, so the tail stays empty.  Pickles back to this same
+#: object.
+NULL_EVENTS: EventLog = _NullEventLog()
 
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, object]]:

@@ -8,9 +8,11 @@ Three instrument kinds, Prometheus-shaped but merge-first:
 * **histograms** — fixed-bound buckets plus count/sum/min/max; merge
   bucket-wise (bounds must match).
 
-The mutable :class:`MetricsRegistry` is process-local; a
-:class:`MetricsSnapshot` is the frozen, picklable view that crosses
-process-pool boundaries.  Snapshot merging is associative and
+The mutable :class:`MetricsRegistry` is process-local and thread-safe;
+a :class:`MetricsSnapshot` is the frozen, picklable view that crosses
+process-pool boundaries.  :data:`NULL_METRICS` is the registry every
+instrumented layer records into when none is attached: it records
+nothing and snapshots empty.  Snapshot merging is associative and
 commutative (integer counters and bucket counts merge exactly; float
 sums rely on IEEE addition being commutative, and are exact whenever
 the observed values are — see the merge property tests), and JSON
@@ -24,6 +26,7 @@ snapshot both key on that string.
 from __future__ import annotations
 
 import json
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,6 +111,17 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
+
+
+def _histogram_dict(hist: Histogram) -> Dict:
+    return {
+        "bounds": list(hist.bounds),
+        "counts": list(hist.counts),
+        "count": hist.count,
+        "sum": hist.sum,
+        "min": hist.min,
+        "max": hist.max,
+    }
 
 
 def _merge_histogram_dicts(left: Mapping, right: Mapping) -> Dict:
@@ -246,32 +260,36 @@ class MetricsRegistry:
     """Mutable, process-local metric store.
 
     Instruments are created on first touch and identified by
-    ``metric_key(name, labels)``.  Not thread-safe by design: the
-    engine folds worker results in its own thread, and workers build
-    their own local registries whose snapshots are merged back via
-    :meth:`absorb`.
+    ``metric_key(name, labels)``.  Thread-safe: one internal lock
+    covers registration, recording through :meth:`inc` /
+    :meth:`set_gauge` / :meth:`observe`, :meth:`snapshot` and
+    :meth:`absorb`, so handler threads and a merge worker can share
+    one registry.  The lock is recreated on unpickle, so a registry
+    crosses a process pool as a copy; pool workers' snapshots are
+    merged back via :meth:`absorb`.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._lock = threading.RLock()
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {key: value for key, value in vars(self).items() if key != "_lock"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state, _lock=threading.RLock())
 
     # -- instrument accessors ------------------------------------------------
 
     def counter(self, name: str, **labels: object) -> Counter:
-        key = metric_key(name, labels)
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter()
-        return instrument
+        with self._lock:
+            return self._counters.setdefault(metric_key(name, labels), Counter())
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        key = metric_key(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
-        return instrument
+        with self._lock:
+            return self._gauges.setdefault(metric_key(name, labels), Gauge())
 
     def histogram(
         self,
@@ -280,23 +298,26 @@ class MetricsRegistry:
         **labels: object,
     ) -> Histogram:
         key = metric_key(name, labels)
-        instrument = self._histograms.get(key)
-        if instrument is None:
-            instrument = self._histograms[key] = Histogram(bounds)
-        elif instrument.bounds != tuple(float(edge) for edge in bounds):
-            raise ValueError(
-                f"histogram {key!r} already registered with bounds "
-                f"{instrument.bounds}, got {bounds}"
-            )
-        return instrument
+        with self._lock:
+            instrument = self._histograms.get(key)
+            if instrument is None:
+                instrument = self._histograms[key] = Histogram(bounds)
+            elif instrument.bounds != tuple(float(edge) for edge in bounds):
+                raise ValueError(
+                    f"histogram {key!r} already registered with bounds "
+                    f"{instrument.bounds}, got {bounds}"
+                )
+            return instrument
 
     # -- convenience recording ----------------------------------------------
 
     def inc(self, name: str, amount: Number = 1, **labels: object) -> None:
-        self.counter(name, **labels).inc(amount)
+        with self._lock:
+            self.counter(name, **labels).inc(amount)
 
     def set_gauge(self, name: str, value: Number, **labels: object) -> None:
-        self.gauge(name, **labels).set(value)
+        with self._lock:
+            self.gauge(name, **labels).set(value)
 
     def observe(
         self,
@@ -305,63 +326,40 @@ class MetricsRegistry:
         bounds: Tuple[float, ...] = DEFAULT_TIME_BOUNDS,
         **labels: object,
     ) -> None:
-        self.histogram(name, bounds, **labels).observe(value)
+        with self._lock:
+            self.histogram(name, bounds, **labels).observe(value)
 
     # -- snapshots -----------------------------------------------------------
 
     def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot(
-            counters={key: c.value for key, c in self._counters.items()},
-            gauges={key: g.value for key, g in self._gauges.items()},
-            histograms={
-                key: {
-                    "bounds": list(hist.bounds),
-                    "counts": list(hist.counts),
-                    "count": hist.count,
-                    "sum": hist.sum,
-                    "min": hist.min,
-                    "max": hist.max,
-                }
-                for key, hist in self._histograms.items()
-            },
-        )
+        with self._lock:
+            return MetricsSnapshot(
+                counters={key: c.value for key, c in self._counters.items()},
+                gauges={key: g.value for key, g in self._gauges.items()},
+                histograms={
+                    key: _histogram_dict(hist)
+                    for key, hist in self._histograms.items()
+                },
+            )
 
     def absorb(self, snapshot: MetricsSnapshot) -> None:
         """Fold a snapshot (e.g. from a pool worker) into this registry."""
-        for key, value in snapshot.counters.items():
-            counter = self._counters.get(key)
-            if counter is None:
-                counter = self._counters[key] = Counter()
-            counter.inc(value)
-        for key, value in snapshot.gauges.items():
-            gauge = self._gauges.get(key)
-            if gauge is None:
-                gauge = self._gauges[key] = Gauge()
-                gauge.set(value)
-            else:
-                gauge.set(max(gauge.value, value))
-        for key, hist_data in snapshot.histograms.items():
-            hist = self._histograms.get(key)
-            if hist is None:
-                hist = self._histograms[key] = Histogram(
-                    tuple(hist_data["bounds"])
-                )
-            merged = _merge_histogram_dicts(
-                {
-                    "bounds": list(hist.bounds),
-                    "counts": list(hist.counts),
-                    "count": hist.count,
-                    "sum": hist.sum,
-                    "min": hist.min,
-                    "max": hist.max,
-                },
-                hist_data,
-            )
-            hist.counts = list(merged["counts"])
-            hist.count = merged["count"]
-            hist.sum = merged["sum"]
-            hist.min = merged["min"]
-            hist.max = merged["max"]
+        with self._lock:
+            for key, value in snapshot.counters.items():
+                self._counters.setdefault(key, Counter()).inc(value)
+            for key, value in snapshot.gauges.items():
+                if key in self._gauges:
+                    value = max(self._gauges[key].value, value)
+                self._gauges.setdefault(key, Gauge()).set(value)
+            for key, hist_data in snapshot.histograms.items():
+                hist = self._histograms.get(key)
+                if hist is None:
+                    hist = self._histograms[key] = Histogram(
+                        tuple(hist_data["bounds"])
+                    )
+                merged = _merge_histogram_dicts(_histogram_dict(hist), hist_data)
+                for name in ("counts", "count", "sum", "min", "max"):
+                    setattr(hist, name, merged[name])
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
@@ -371,3 +369,51 @@ class MetricsRegistry:
             f"MetricsRegistry(counters={len(self._counters)}, "
             f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
         )
+
+
+class _NullMetrics(MetricsRegistry):
+    """A registry that keeps nothing; see :data:`NULL_METRICS`."""
+
+    def counter(self, name: str, **labels: object) -> Counter:
+        return Counter()
+
+    def gauge(self, name: str, **labels: object) -> Gauge:
+        return Gauge()
+
+    def histogram(
+        self,
+        name: str,
+        bounds: Tuple[float, ...] = DEFAULT_TIME_BOUNDS,
+        **labels: object,
+    ) -> Histogram:
+        return Histogram(bounds)
+
+    def inc(self, name: str, amount: Number = 1, **labels: object) -> None:
+        pass
+
+    def set_gauge(self, name: str, value: Number, **labels: object) -> None:
+        pass
+
+    def observe(
+        self,
+        name: str,
+        value: Number,
+        bounds: Tuple[float, ...] = DEFAULT_TIME_BOUNDS,
+        **labels: object,
+    ) -> None:
+        pass
+
+    def snapshot(self) -> MetricsSnapshot:
+        return MetricsSnapshot()
+
+    def absorb(self, snapshot: MetricsSnapshot) -> None:
+        pass
+
+    def __reduce__(self) -> str:
+        return "NULL_METRICS"
+
+
+#: The default ``metrics=`` of every instrumented layer: recording does
+#: nothing, instruments it hands out are registered nowhere, and
+#: ``snapshot()`` is empty.  Pickles back to this same object.
+NULL_METRICS: MetricsRegistry = _NullMetrics()

@@ -24,6 +24,10 @@ Cross-process traces stitch together through two hooks:
 When an :class:`~repro.obs.events.EventLog` is attached, every span
 serializes on close as one ``span`` event, so replaying the JSONL log
 rebuilds the identical :class:`~repro.obs.tracectx.TraceStore`.
+
+:data:`NULL_TRACER` is the tracer every instrumented layer opens spans
+on when none is attached: its ``span()`` returns one shared inert span
+whose context sends no ``X-Repro-Traceparent`` header.
 """
 
 from __future__ import annotations
@@ -31,19 +35,16 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.tracectx import (
     TraceContext,
     TraceIdSource,
     _jsonify,
     normalize_span_record,
 )
-
-if False:  # pragma: no cover - import cycle guard, typing only
-    from repro.obs.events import EventLog
 
 
 @dataclass(slots=True)
@@ -126,7 +127,7 @@ class SpanTracer:
         self,
         seed: Optional[int] = None,
         name: str = "tracer",
-        events: Optional["EventLog"] = None,
+        events: EventLog = NULL_EVENTS,
     ) -> None:
         self.spans: List[Span] = []
         self.events = events
@@ -197,8 +198,6 @@ class SpanTracer:
         return span
 
     def _emit(self, span: Span) -> None:
-        if self.events is None:
-            return
         record = span.to_record()
         kind = record.pop("kind")
         self.events.emit("span", span_kind=kind, **record)
@@ -330,20 +329,64 @@ class _OpenSpan:
         return False
 
 
-def maybe_span(
-    tracer: Optional[SpanTracer],
-    name: str,
-    *,
-    kind: str = "internal",
-    parent: Optional[TraceContext] = None,
-    links: Sequence[TraceContext] = (),
-    **attrs: object,
-):
-    """``tracer.span(...)`` or an inert context when no tracer is attached.
+class _NullContext(TraceContext):
+    """The context of :data:`NULL_SPAN`: it propagates no header."""
 
-    The null context yields ``None``, so callers guard attribute
-    updates with ``if span is not None``.
+    def to_header(self) -> str:
+        return ""
+
+
+class _NullSpan:
+    """The one inert span :data:`NULL_TRACER` hands out.
+
+    It is its own context manager; ``set`` and attribute assignment
+    (``span.name = ...``) are accepted and dropped, so one shared
+    instance serves every thread.
     """
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, kind=kind, parent=parent, links=links, **attrs)
+
+    __slots__ = ()
+
+    name = ""
+    context: TraceContext = _NullContext(trace_id="", span_id="")
+
+    def __setattr__(self, key: str, value: object) -> None:
+        pass
+
+    def set(self, key: str, value: object) -> None:
+        pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+NULL_SPAN = _NullSpan()
+
+
+class _NullTracer(SpanTracer):
+    """A tracer that records nothing; see :data:`NULL_TRACER`."""
+
+    def span(
+        self,
+        name: str,
+        *,
+        kind: str = "internal",
+        parent: Optional[TraceContext] = None,
+        links: Sequence[TraceContext] = (),
+        **attrs: object,
+    ) -> "_OpenSpan":
+        return NULL_SPAN  # type: ignore[return-value]
+
+    def current_context(self) -> Optional[TraceContext]:
+        return None
+
+    def __reduce__(self) -> str:
+        return "NULL_TRACER"
+
+
+#: The default ``tracer=`` of every instrumented layer: ``span()``
+#: returns :data:`NULL_SPAN`, ``current_context()`` is ``None`` and no
+#: span is ever recorded.  Pickles back to this same object.
+NULL_TRACER: SpanTracer = _NullTracer()

@@ -31,9 +31,9 @@ from concurrent.futures import (
 )
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.trace import SpanTracer, maybe_span
+from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry, MetricsSnapshot
+from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.pipeline.shard import DEFAULT_SHARD_SIZE
 from repro.resilience.degrade import (
     DegradationReport,
@@ -63,28 +63,19 @@ def _run_task(
     map_fn: MapFn,
     task: Any,
     retry: Optional[RetryPolicy],
-    instrument: bool = False,
-    submitted_at: Optional[float] = None,
-) -> Tuple[Any, int, Optional[MetricsSnapshot]]:
+    submitted_at: float,
+) -> Tuple[Any, int, MetricsSnapshot]:
     """Execute one shard (module-level so process pools can pickle it).
 
     Returns ``(result, attempts, metrics)``; the retry loop runs
     *inside* the worker, so transient faults never cross the pool
-    boundary.  With ``instrument=True`` the worker times itself into a
-    local registry and ships the snapshot back with the result —
-    that's how per-shard metrics survive a process pool (``metrics``
-    is ``None`` otherwise).  ``submitted_at`` is a ``time.time()``
+    boundary.  The worker times itself into a local registry and ships
+    the snapshot back with the result — that's how per-shard metrics
+    survive a process pool.  ``submitted_at`` is a ``time.time()``
     stamp taken at submission; the gap to the worker picking the task
     up is the shard's queue wait.
     """
-    if not instrument:
-        if retry is None:
-            return map_fn(task), 1, None
-        outcome = retry.run(lambda: map_fn(task))
-        return outcome.value, outcome.attempts, None
-    queue_wait = (
-        max(0.0, time.time() - submitted_at) if submitted_at is not None else 0.0
-    )
+    queue_wait = max(0.0, time.time() - submitted_at)
     started = time.perf_counter()
     if retry is None:
         value, attempts = map_fn(task), 1
@@ -135,24 +126,24 @@ class PipelineEngine:
         ``"degrade"`` completes the run without the failed shards and
         attaches a :class:`DegradationReport`.
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry`.  When attached,
-        every run records per-shard duration/queue-wait histograms,
-        attempt/retry counters, failed/degraded shard counters (with a
-        per-shard ``shard=`` label on failures), and checkpoint resume
-        hit rate.  Workers time themselves into local registries whose
-        snapshots merge back deterministically, so serial and parallel
-        runs report identical counter totals.
+        A :class:`repro.obs.MetricsRegistry`; every run records
+        per-shard duration/queue-wait histograms, attempt/retry
+        counters, failed/degraded shard counters (with a per-shard
+        ``shard=`` label on failures), and checkpoint resume hit rate.
+        Workers time themselves into local registries whose snapshots
+        merge back deterministically, so serial and parallel runs
+        report identical counter totals.
     tracer:
-        Optional :class:`repro.obs.SpanTracer`; ``map_reduce`` then
-        records nested ``pipeline.map_reduce`` / ``pipeline.map`` /
-        ``pipeline.reduce`` spans (coordinator-side wall time).
+        A :class:`repro.obs.SpanTracer`; ``map_reduce`` records nested
+        ``pipeline.map_reduce`` / ``pipeline.map`` / ``pipeline.reduce``
+        spans (coordinator-side wall time).
     events:
-        Optional :class:`repro.obs.EventLog`; every run then emits
-        live lifecycle events from the coordinator thread —
-        ``map_start`` / ``map_finish``, one ``shard_finish`` or
-        ``shard_failed`` per shard (with attempt counts),
-        ``checkpoint_resume``, and ``degraded`` — mirroring the
-        metric counters event-for-increment (see
+        A :class:`repro.obs.EventLog`; every run emits live lifecycle
+        events from the coordinator thread — ``map_start`` /
+        ``map_finish``, one ``shard_finish`` or ``shard_failed`` per
+        shard (with attempt counts), ``checkpoint_resume``, and
+        ``degraded`` — mirroring the metric counters
+        event-for-increment (see
         :func:`repro.obs.replay_counters`).
     """
 
@@ -163,9 +154,9 @@ class PipelineEngine:
         executor: str = "process",
         retry: Optional[RetryPolicy] = None,
         on_error: str = "raise",
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
-        events: Optional[EventLog] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
+        tracer: SpanTracer = NULL_TRACER,
+        events: EventLog = NULL_EVENTS,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -222,7 +213,6 @@ class PipelineEngine:
         did finish are already checkpointed, and the report (if any)
         is appended to the checkpoint as well.
         """
-        instrument = self.metrics is not None
         results = MapResult([None] * len(tasks))
         pending = list(range(len(tasks)))
         if checkpoint is not None:
@@ -233,78 +223,59 @@ class PipelineEngine:
                     results[index] = decode(payload) if decode else payload
                     resumed += 1
             pending = [i for i in pending if i not in done]
-            if instrument and tasks:
+            if tasks:
                 self.metrics.inc("pipeline.shards_resumed", resumed)
                 self.metrics.set_gauge(
                     "pipeline.checkpoint_hit_rate", resumed / len(tasks)
                 )
-            if self.events is not None and tasks:
                 self.events.emit(
                     "checkpoint_resume",
                     shards=resumed,
                     hit_rate=resumed / len(tasks),
                 )
-        if instrument:
-            self.metrics.inc("pipeline.shards_planned", len(tasks))
-        if self.events is not None:
-            self.events.emit(
-                "map_start", shards=len(tasks), pending=len(pending)
-            )
+        self.metrics.inc("pipeline.shards_planned", len(tasks))
+        self.events.emit("map_start", shards=len(tasks), pending=len(pending))
         failures: List[FailedShard] = []
         retries = 0
 
         def finish(
-            index: int, value: Any, attempts: int, snap: Optional[MetricsSnapshot]
+            index: int, value: Any, attempts: int, snap: MetricsSnapshot
         ) -> None:
             nonlocal retries
             retries += attempts - 1
             results[index] = value
             self._record(checkpoint, encode, index, value, attempts)
-            if instrument:
-                if snap is not None:
-                    self.metrics.absorb(snap)
-                self.metrics.inc("pipeline.shards_completed")
-                if attempts > 1:
-                    self.metrics.inc("pipeline.retries_total", attempts - 1)
-            if self.events is not None:
-                self.events.emit(
-                    "shard_finish", shard=index, attempts=attempts
-                )
+            self.metrics.absorb(snap)
+            self.metrics.inc("pipeline.shards_completed")
+            if attempts > 1:
+                self.metrics.inc("pipeline.retries_total", attempts - 1)
+            self.events.emit("shard_finish", shard=index, attempts=attempts)
 
         def fail(index: int, exc: BaseException) -> None:
             nonlocal retries
             attempts = _failure_attempts(exc)
             cause = _failure_cause(exc)
-            if instrument:
-                self.metrics.inc("pipeline.shards_failed")
-                self.metrics.inc("pipeline.shard_failures", shard=index)
-                self.metrics.inc("pipeline.failed_shard_attempts", attempts)
-                if attempts > 1:
-                    self.metrics.inc("pipeline.retries_total", attempts - 1)
-            if self.events is not None:
-                self.events.emit(
-                    "shard_failed",
-                    shard=index,
-                    attempts=attempts,
-                    error=repr(cause),
-                )
+            self.metrics.inc("pipeline.shards_failed")
+            self.metrics.inc("pipeline.shard_failures", shard=index)
+            self.metrics.inc("pipeline.failed_shard_attempts", attempts)
+            if attempts > 1:
+                self.metrics.inc("pipeline.retries_total", attempts - 1)
+            self.events.emit(
+                "shard_failed", shard=index, attempts=attempts, error=repr(cause)
+            )
             if not self.degrading:
                 raise ShardFailedError(index, attempts, cause) from exc
             retries += attempts - 1
             failures.append(FailedShard(index, repr(cause), attempts))
 
-        with maybe_span(
-            self.tracer, "pipeline.map", shards=len(tasks), pending=len(pending)
+        with self.tracer.span(
+            "pipeline.map", shards=len(tasks), pending=len(pending)
         ):
             if self.serial or len(pending) <= 1:
                 for index in pending:
                     try:
                         value, attempts, snap = _run_task(
-                            map_fn,
-                            tasks[index],
-                            self.retry,
-                            instrument,
-                            time.time() if instrument else None,
+                            map_fn, tasks[index], self.retry, time.time()
                         )
                     except Exception as exc:
                         fail(index, exc)
@@ -322,12 +293,7 @@ class PipelineEngine:
                 ) as pool:
                     futures = {
                         pool.submit(
-                            _run_task,
-                            map_fn,
-                            tasks[i],
-                            self.retry,
-                            instrument,
-                            time.time() if instrument else None,
+                            _run_task, map_fn, tasks[i], self.retry, time.time()
                         ): i
                         for i in pending
                     }
@@ -347,7 +313,7 @@ class PipelineEngine:
                 retries=retries,
             )
             results.degradation = report
-            if self.events is not None and report.failed:
+            if report.failed:
                 self.events.emit(
                     "degraded",
                     failed=list(report.failed_indices),
@@ -359,13 +325,12 @@ class PipelineEngine:
                 and hasattr(checkpoint, "record_degraded")
             ):
                 checkpoint.record_degraded(report)
-        if self.events is not None:
-            self.events.emit(
-                "map_finish",
-                shards=len(tasks),
-                completed=sum(1 for r in results if r is not None),
-                failed=len(failures),
-            )
+        self.events.emit(
+            "map_finish",
+            shards=len(tasks),
+            completed=sum(1 for r in results if r is not None),
+            failed=len(failures),
+        )
         return results
 
     def map_reduce(
@@ -384,7 +349,7 @@ class PipelineEngine:
         that survived (still in shard order) and the return value is a
         :class:`DegradedResult` pairing it with the run's report.
         """
-        with maybe_span(self.tracer, "pipeline.map_reduce", shards=len(tasks)):
+        with self.tracer.span("pipeline.map_reduce", shards=len(tasks)):
             partials = self.map(
                 map_fn,
                 tasks,
@@ -403,10 +368,8 @@ class PipelineEngine:
             return DegradedResult(value=value, report=report)
 
     def _reduce(self, reduce_fn: ReduceFn, partials: List[Any]) -> Any:
-        """Run the reduce under the optional span/histogram."""
-        with maybe_span(self.tracer, "pipeline.reduce", partials=len(partials)):
-            if self.metrics is None:
-                return reduce_fn(partials)
+        """Run the reduce under its span and histogram."""
+        with self.tracer.span("pipeline.reduce", partials=len(partials)):
             started = time.perf_counter()
             value = reduce_fn(partials)
             self.metrics.observe(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple, Type
 
 from repro.ct.log import LogDisqualifiedError, LogOverloadedError
-from repro.obs.metrics import COUNT_BOUNDS, MetricsRegistry
+from repro.obs.metrics import COUNT_BOUNDS, NULL_METRICS, MetricsRegistry
 from repro.resilience.faults import TransientLogError
 from repro.util.rng import SeededRng
 
@@ -78,7 +78,7 @@ class RetryPolicy:
         Injection point for the delay (defaults to :func:`time.sleep`);
         tests pass a recorder to avoid real waiting.
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry`.  Each completed
+        A :class:`repro.obs.MetricsRegistry`.  Each completed
         ``run`` observes its attempt count into the ``retry.attempts``
         histogram; each backoff delay lands in ``retry.backoff_seconds``
         and bumps the ``retry.retries`` counter; exhaustion bumps
@@ -97,8 +97,8 @@ class RetryPolicy:
     retryable: Tuple[Type[BaseException], ...] = DEFAULT_RETRYABLE
     terminal: Tuple[Type[BaseException], ...] = DEFAULT_TERMINAL
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
-    metrics: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False
+    metrics: MetricsRegistry = field(
+        default=NULL_METRICS, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -158,11 +158,10 @@ class RetryPolicy:
                 if not self.is_retryable(exc):
                     raise
                 if attempt >= self.max_attempts:
-                    if self.metrics is not None:
-                        self.metrics.inc("retry.exhausted")
-                        self.metrics.observe(
-                            "retry.attempts", attempt, bounds=COUNT_BOUNDS
-                        )
+                    self.metrics.inc("retry.exhausted")
+                    self.metrics.observe(
+                        "retry.attempts", attempt, bounds=COUNT_BOUNDS
+                    )
                     raise RetryExhaustedError(
                         f"gave up after {attempt} attempt(s): {exc!r}",
                         attempts=attempt,
@@ -170,14 +169,10 @@ class RetryPolicy:
                 if on_retry is not None:
                     on_retry(attempt, exc)
                 delay = self.backoff_delay(attempt)
-                if self.metrics is not None:
-                    self.metrics.inc("retry.retries")
-                    self.metrics.observe("retry.backoff_seconds", delay)
+                self.metrics.inc("retry.retries")
+                self.metrics.observe("retry.backoff_seconds", delay)
                 if delay > 0.0:
                     self.sleep(delay)
                 continue
-            if self.metrics is not None:
-                self.metrics.observe(
-                    "retry.attempts", attempt, bounds=COUNT_BOUNDS
-                )
+            self.metrics.observe("retry.attempts", attempt, bounds=COUNT_BOUNDS)
             return RetryOutcome(value=value, attempts=attempt)

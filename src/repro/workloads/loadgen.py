@@ -352,9 +352,9 @@ def _execute_plan(
 ) -> ClientResult:
     """Run one client's ops over HTTP (module-level: process-picklable)."""
     from repro.ct.storage import certificate_from_dict
-    from repro.obs.trace import SpanTracer, maybe_span
+    from repro.obs.trace import NULL_TRACER, SpanTracer
 
-    tracer: Optional[SpanTracer] = None
+    tracer = NULL_TRACER
     if trace_seed is not None:
         # Seeding by (storm seed, client name) keeps every client's ID
         # stream deterministic yet disjoint across the population.
@@ -368,8 +368,7 @@ def _execute_plan(
         status = 200
         verified: Optional[bool] = None
         sth_body: Optional[Dict[str, object]] = None
-        with maybe_span(
-            tracer,
+        with tracer.span(
             f"storm.{op.kind}",
             kind="client",
             **_op_span_attrs(plan, op),
@@ -427,10 +426,9 @@ def _execute_plan(
             except Exception as exc:  # socket errors, timeouts
                 status = -1
                 result.errors.append(f"{op.kind}: {exc!r}")
-            if root is not None:
-                root.set("status", status)
-                if verified is not None:
-                    root.set("verified", verified)
+            root.set("status", status)
+            if verified is not None:
+                root.set("verified", verified)
         result.ops.append(
             OpResult(
                 op.kind,
@@ -441,8 +439,7 @@ def _execute_plan(
             )
         )
     client.close()
-    if tracer is not None:
-        result.spans = tracer.to_records()
+    result.spans = tracer.to_records()
     return result
 
 

@@ -43,7 +43,7 @@ from repro.ct.server import (
 )
 from repro.ct.storage import certificate_to_dict, dump_log
 from repro.dataset import CertCorpus
-from repro.obs import EventLog, MetricsRegistry, SpanTracer
+from repro.obs import TRACEPARENT_HEADER, EventLog, MetricsRegistry, SpanTracer
 from repro.resilience import DEFAULT_RETRYABLE
 from repro.util.timeutil import utc_datetime
 from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
@@ -683,12 +683,14 @@ class _FakeLog:
     The n-th accepted connection answers its requests with the n-th
     script's raw replies in order; ``None`` reads the request and hangs
     up without a reply.  A connection hangs up when its script ends,
-    and moves on early if the client hangs up first.
+    and moves on early if the client hangs up first.  ``header_names``
+    collects every request header name, lower-cased.
     """
 
     def __init__(self, *scripts):
         self.scripts = scripts
         self.requests = []
+        self.header_names = set()
         self._sock = socket.create_server(("127.0.0.1", 0))
         self.url = f"http://127.0.0.1:{self._sock.getsockname()[1]}"
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -702,8 +704,8 @@ class _FakeLog:
                     head = reader.readline()
                     if not head:
                         break  # the client hung up
-                    while reader.readline() not in (b"\r\n", b""):
-                        pass
+                    while (line := reader.readline()) not in (b"\r\n", b""):
+                        self.header_names.add(line.split(b":", 1)[0].strip().lower().decode())
                     self.requests.append(head.split(b" ", 2)[1].decode())
                     if reply is None:
                         break
@@ -744,6 +746,9 @@ def test_client_honours_connection_close(connects):
     fake.close()
     assert connects["n"] == 2
     assert fake.requests == ["/ct/v1/get-sth"] * 2
+    # Without a tracer the client sends no trace-context header.
+    assert "host" in fake.header_names
+    assert TRACEPARENT_HEADER.lower() not in fake.header_names
 
 
 def test_client_truncated_body_raises_incomplete_read_without_retry(connects):

@@ -78,14 +78,12 @@ def test_submitters_race_readers_across_sharded_logs():
     # Readers emit thousands of log_server_request events; a big tail
     # keeps the interleaved sequencer_merge events inspectable.
     events = EventLog(tail_size=100_000)
-    telemetry_lock = threading.Lock()
     server = LogServer(
         logs,
         merge_interval=0.01,
         max_batch=4,
         metrics=metrics,
         events=events,
-        telemetry_lock=telemetry_lock,
     )
     errors = []
     scts_by_log = {log.name: [] for log in logs}

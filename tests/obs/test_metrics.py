@@ -1,5 +1,9 @@
 """Unit tests for the metrics registry and its snapshots."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro.obs import (
@@ -171,3 +175,69 @@ class TestSnapshot:
 
         snap = self._sample()
         assert pickle.loads(pickle.dumps(snap)) == snap
+
+
+class TestThreadSafety:
+    def test_snapshot_races_series_registration(self):
+        # One thread registers fresh series while another snapshots:
+        # iterating the instrument dicts must never see them change
+        # size mid-copy.  A short switch interval makes the threads
+        # interleave inside a single snapshot.
+        registry = MetricsRegistry()
+        done = threading.Event()
+
+        def register():
+            for n in range(100_000):
+                registry.inc("k", n=n)
+            done.set()
+
+        writer = threading.Thread(target=register)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writer.start()
+            for _ in range(2000):
+                if done.is_set():
+                    break
+                try:
+                    registry.snapshot()
+                except RuntimeError as exc:
+                    errors.append(exc)
+            writer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert errors == []
+        assert len(registry.snapshot().counters) == 100_000
+
+    def test_concurrent_increments_are_exact(self):
+        registry = MetricsRegistry()
+
+        def bump():
+            for _ in range(2000):
+                registry.inc("hits", log="a")
+                registry.observe("lat", 0.01, log="a")
+
+        threads = [threading.Thread(target=bump) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snap = registry.snapshot()
+        assert snap.counter("hits{log=a}") == 8000
+        assert snap.histogram_count("lat{log=a}") == 8000
+
+    def test_registry_pickles_without_its_lock(self):
+        registry = MetricsRegistry()
+        registry.inc("hits", 3)
+        clone = pickle.loads(pickle.dumps(registry))
+        clone.inc("hits")
+        assert clone.snapshot().counter("hits") == 4
+        assert registry.snapshot().counter("hits") == 3

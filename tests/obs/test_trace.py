@@ -3,7 +3,7 @@
 import json
 import threading
 
-from repro.obs import EventLog, SpanTracer, TraceContext, maybe_span
+from repro.obs import NULL_SPAN, NULL_TRACER, EventLog, SpanTracer, TraceContext
 
 
 def test_spans_record_nesting_and_order():
@@ -204,14 +204,21 @@ def test_record_remote_files_and_emits():
     assert events.tail(1)[0]["name"] == "storm.op"
 
 
-def test_maybe_span_with_no_tracer():
-    with maybe_span(None, "ignored", anything=1) as span:
-        assert span is None
+def test_null_tracer_span_is_inert():
+    with NULL_TRACER.span("ignored", kind="client", anything=1) as span:
+        assert span is NULL_SPAN
+        span.set("status", 200)
+        span.name = "renamed"
+        assert span.context.to_header() == ""
+        assert NULL_TRACER.current_context() is None
+    assert NULL_TRACER.spans == []
+    assert NULL_TRACER.to_records() == []
 
 
-def test_maybe_span_with_tracer():
+def test_null_tracer_parents_nothing_under_a_real_tracer():
     tracer = SpanTracer()
-    with maybe_span(tracer, "real", kind="client") as span:
-        assert span is not None
-    assert tracer.spans[0].name == "real"
+    with tracer.span("real", kind="client"):
+        with NULL_TRACER.span("ignored"):
+            assert tracer.current_context() is not None
+    assert [span.name for span in tracer.spans] == ["real"]
     assert tracer.spans[0].kind == "client"
