@@ -226,7 +226,7 @@ def test_bench_storm_gossip_detects_split_view():
     # The wire stayed healthy: the equivocation is served, not broken.
     assert report.transport_errors == 0
 
-    pool = GossipPool()
+    pool = GossipPool({log.name: log.key})
     findings = gossip_storm_sths(report, pool, log.name)
     incidents = split_view_incidents(pool)
     assert findings, "storm clients gossiping their STHs must expose the fork"

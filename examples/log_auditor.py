@@ -56,7 +56,7 @@ def main() -> None:
     print(f"SCT inclusion promise kept: {ok}")
 
     # 3. Split-view detection via gossip.
-    pool = GossipPool()
+    pool = GossipPool({log.name: log.key})
     honest_sth = log.get_sth(start + timedelta(hours=6))
     evil = make_split_view_log(log, fork_at=10)
     while evil.tree.size < honest_sth.tree_size:

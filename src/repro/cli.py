@@ -856,7 +856,9 @@ def cmd_gossip(args) -> str:
             executor=args.executor,
             workers=args.workers if args.workers > 1 else 8,
         )
-    pool = GossipPool(metrics=args.metrics, events=args.events)
+    pool = GossipPool(
+        {log.name: log.key}, metrics=args.metrics, events=args.events
+    )
     gossip_storm_sths(report, pool, log.name)
     incidents = split_view_incidents(pool)
     if args.gossip_out:

@@ -4,14 +4,19 @@ Section 2 of the paper: "Logs are append-only and use Merkle Hash
 Trees, which allows to detect tampering with a log's history."  This
 module is the machinery that actually does the detecting:
 
-* :class:`LogAuditor` follows one log over time, verifying STH
-  signatures, checking consistency proofs between consecutive tree
-  heads (append-only), and auditing SCTs for inclusion within the
-  log's maximum merge delay;
+* :func:`check_sth` is the one rule for accepting a signed tree head
+  (Dahlberg & Pulls): its signature verifies, and it is consistent
+  with the last head the reader accepted — the tree never shrinks,
+  the root never changes at one size, and growth comes with a valid
+  consistency proof.  :class:`LogAuditor` and
+  :class:`~repro.ct.monitor.LightweightMonitor` both apply it;
+* :class:`LogAuditor` follows one log over time through that rule and
+  audits SCTs for inclusion within the log's maximum merge delay;
 * :class:`GossipPool` cross-checks STHs observed by *different*
   vantage points, catching split-view attacks where a log shows
   diverging histories to different clients (the attack CT's design
-  must prevent for the "full view" claim to hold).
+  must prevent for the "full view" claim to hold).  It holds the key
+  of every log it vouches for and drops STHs whose signature fails.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.ct import merkle
 from repro.ct.log import CTLog, SignedTreeHead
-from repro.ct.merkle import verify_consistency_proof, verify_inclusion_proof
 from repro.ct.sct import (
     SignedCertificateTimestamp,
     precert_signing_input,
@@ -33,6 +38,10 @@ from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.timeutil import from_timestamp_ms
 from repro.x509.certificate import Certificate
+from repro.x509.crypto import KeyPair
+
+#: Finding kind of a head (or digest, or SCT) whose signature fails.
+BAD_SIGNATURE = "bad-sth-signature"
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,53 @@ def record_finding(
     log, kind = finding.log_name, finding.kind
     metrics.inc("auditor.findings", log=log, kind=kind)
     events.emit("audit_finding", log=log, finding=kind, detail=finding.detail)
+
+
+def check_sth(
+    previous: Optional[SignedTreeHead],
+    sth: SignedTreeHead,
+    key: Optional[KeyPair],
+    fetch_consistency: Callable[[int, int], Sequence[bytes]],
+) -> Optional[Tuple[str, str]]:
+    """Whether a reader may accept ``sth`` after ``previous``.
+
+    ``previous`` is the last head the reader accepted (``None`` for the
+    first); ``key`` pins the log's key (``None`` skips the signature);
+    ``fetch_consistency(first, second)`` asks the log for a consistency
+    proof and is called only when the tree grew.  Returns ``None`` when
+    the head is acceptable, else the ``(kind, detail)`` of the finding.
+    """
+    if key is not None and not sth.verify(key):
+        return (
+            BAD_SIGNATURE,
+            f"STH for tree size {sth.tree_size} has an invalid signature",
+        )
+    if previous is None:
+        return None
+    old, new = previous.tree_size, sth.tree_size
+    if new < old:
+        return "inconsistent-history", f"tree shrank from {old} to {new}"
+    if new == old:
+        if sth.root_hash == previous.root_hash:
+            return None
+        return (
+            "inconsistent-history",
+            f"two roots at tree size {new}: "
+            f"{previous.root_hash.hex()[:16]}… then "
+            f"{sth.root_hash.hex()[:16]}…",
+        )
+    try:
+        proof = fetch_consistency(old, new)
+    except Exception as exc:
+        return "fetch-error", f"get-consistency failed: {exc!r}"
+    if not merkle.verify_consistency_proof(
+        old, new, previous.root_hash, sth.root_hash, proof
+    ):
+        return (
+            "inconsistent-history",
+            f"no valid consistency proof from size {old} to {new}",
+        )
+    return None
 
 
 @dataclass
@@ -104,54 +160,29 @@ class LogAuditor:
         self.report.add(finding)
         record_finding(finding, self.metrics, self.events)
 
+    def _fetch_consistency(self, first: int, second: int) -> List[bytes]:
+        proof = self._log.get_consistency(first, second)
+        self.report.consistency_checks += 1
+        return proof
+
     def observe_sth(self, sth: SignedTreeHead, now: datetime) -> None:
-        """Verify a new STH and its consistency with the previous one."""
-        if not sth.verify(self._log.key):
-            self._add_finding(
-                AuditFinding(
-                    self._log.name,
-                    "bad-sth-signature",
-                    f"STH for tree size {sth.tree_size} has an invalid signature",
-                    now,
-                )
-            )
-            return
-        self.report.sths_verified += 1
-        self._inc("auditor.sths_verified")
+        """Accept ``sth`` if :func:`check_sth` passes, else record why not."""
         previous = self._last_sth
-        if previous is not None:
-            if sth.tree_size < previous.tree_size:
-                self._inc("auditor.consistency_failed")
-                self._add_finding(
-                    AuditFinding(
-                        self._log.name,
-                        "inconsistent-history",
-                        f"tree shrank from {previous.tree_size} to {sth.tree_size}",
-                        now,
-                    )
+        problem = check_sth(
+            previous, sth, self._log.key, self._fetch_consistency
+        )
+        if problem is None or problem[0] != BAD_SIGNATURE:
+            self.report.sths_verified += 1
+            self._inc("auditor.sths_verified")
+            if previous is not None:
+                self._inc(
+                    "auditor.consistency_failed"
+                    if problem
+                    else "auditor.consistency_ok"
                 )
-                return
-            proof = self._log.get_consistency(previous.tree_size, sth.tree_size)
-            self.report.consistency_checks += 1
-            if not verify_consistency_proof(
-                previous.tree_size,
-                sth.tree_size,
-                previous.root_hash,
-                sth.root_hash,
-                proof,
-            ):
-                self._inc("auditor.consistency_failed")
-                self._add_finding(
-                    AuditFinding(
-                        self._log.name,
-                        "inconsistent-history",
-                        f"no valid consistency proof from size "
-                        f"{previous.tree_size} to {sth.tree_size}",
-                        now,
-                    )
-                )
-                return
-            self._inc("auditor.consistency_ok")
+        if problem is not None:
+            self._add_finding(AuditFinding(self._log.name, *problem, now))
+            return
         self._last_sth = sth
 
     def poll(self, now: datetime) -> SignedTreeHead:
@@ -198,7 +229,7 @@ class LogAuditor:
             self._add_finding(
                 AuditFinding(
                     self._log.name,
-                    "bad-sth-signature",
+                    BAD_SIGNATURE,
                     "SCT signature invalid for presented certificate",
                     now,
                 )
@@ -230,7 +261,7 @@ class LogAuditor:
             return False
         sth = self._log.get_sth(now)
         proof = self._log.get_proof_by_hash(index, sth.tree_size)
-        ok = verify_inclusion_proof(
+        ok = merkle.verify_inclusion_proof(
             entry_input, index, sth.tree_size, proof, sth.root_hash
         )
         if not ok:
@@ -266,21 +297,28 @@ class GossipPool:
 
     Vantage points submit the STHs they observed; for any two STHs of
     the same log with the same tree size but different root hashes the
-    log has equivocated — cryptographic proof of misbehaviour.
+    log has equivocated — cryptographic proof of misbehaviour.  The
+    proof holds only for signed heads: ``keys`` maps each log name the
+    pool vouches for to its key, and an STH whose signature does not
+    verify under it (or names a log the pool holds no key for) is
+    recorded as a ``bad-sth-signature`` finding and is never stored or
+    compared, so a forged head cannot frame an honest log.
 
     Reports through the same obs surface as :class:`LogAuditor`: every
-    gossiped STH counts into ``gossip.sths{log=}`` and every detected
-    fork into ``auditor.findings{log=,kind="split-view"}`` plus one
-    ``audit_finding`` event.  Resubmitting an
-    already-flagged equivocating root does not duplicate the finding.
+    gossiped STH counts into ``gossip.sths{log=}`` and every finding
+    into ``auditor.findings{log=,kind=}`` plus one ``audit_finding``
+    event.  Resubmitting an already-flagged equivocating root does not
+    duplicate the finding.
     """
 
     def __init__(
         self,
+        keys: Mapping[str, KeyPair],
         *,
         metrics: MetricsRegistry = NULL_METRICS,
         events: EventLog = NULL_EVENTS,
     ) -> None:
+        self._keys = dict(keys)
         # (log name, tree size) -> (root hash, first reporter)
         self._seen: Dict[Tuple[str, int], Tuple[bytes, str]] = {}
         # (log name, tree size, root) of forks already reported.
@@ -298,9 +336,21 @@ class GossipPool:
         reporter: str,
         now: Optional[datetime] = None,
     ) -> Optional[AuditFinding]:
-        """Record an observed STH; returns a finding on equivocation."""
+        """Record an observed STH; returns a finding on a bad signature
+        or an equivocation."""
         self.sths_gossiped += 1
         self.metrics.inc("gossip.sths", log=log_name)
+        log_key = self._keys.get(log_name)
+        if log_key is None or not sth.verify(log_key):
+            return self._find(
+                AuditFinding(
+                    log_name,
+                    BAD_SIGNATURE,
+                    f"{reporter} gossiped an STH for tree size "
+                    f"{sth.tree_size} that does not verify",
+                    now,
+                )
+            )
         key = (log_name, sth.tree_size)
         known = self._seen.get(key)
         if known is None:
@@ -320,7 +370,6 @@ class GossipPool:
             f"{root.hex()[:16]}…, {reporter} saw {sth.root_hash.hex()[:16]}…",
             now,
         )
-        self.findings.append(finding)
         self.equivocations.append(
             Equivocation(
                 log_name=log_name,
@@ -332,6 +381,10 @@ class GossipPool:
                 observed_at=now,
             )
         )
+        return self._find(finding)
+
+    def _find(self, finding: AuditFinding) -> AuditFinding:
+        self.findings.append(finding)
         record_finding(finding, self.metrics, self.events)
         return finding
 

@@ -23,11 +23,13 @@ are both accepted; bare logs are wrapped on the fly.
 :class:`LightweightMonitor` is the third style — Dahlberg & Pulls'
 *verifiable light-weight monitoring*: instead of replaying every
 entry, it subscribes to a domain set, reads the log's signed per-batch
-digests (``get-batch-digest``), verifies STH consistency plus the
-digest root's consistency with the served tree head, and downloads
-bodies + inclusion proofs **only for entries whose claimed domains
-match the subscription**.  Wire-level cost (requests, entries, bytes)
-is accounted per poll and reported through :mod:`repro.obs`.
+digests (``get-batch-digest``), accepts each STH by
+:func:`repro.ct.auditor.check_sth` (the rule the auditor applies too),
+verifies the digest root's consistency with the served tree head, and
+downloads bodies + inclusion proofs **only for entries whose claimed
+domains match the subscription**.  Wire-level cost (requests, entries,
+bytes) is the transport's ``stats()`` ledger; each poll reports its
+delta through :mod:`repro.obs`.
 
 Every consumer that replays a log — the two replay monitors here and
 :class:`~repro.ct.feed.CertFeed` — tails it through one
@@ -62,7 +64,12 @@ from typing import (
     Union,
 )
 
-from repro.ct.auditor import AuditFinding, record_finding
+from repro.ct.auditor import (
+    BAD_SIGNATURE,
+    AuditFinding,
+    check_sth,
+    record_finding,
+)
 from repro.ct.log import BatchDigest, CTLog, LogEntry, SignedTreeHead
 from repro.ct.merkle import (
     leaf_hash,
@@ -580,8 +587,11 @@ class LightweightMonitor:
     Subscribes to a domain set and never downloads non-matching entry
     bodies.  Per poll it:
 
-    1. fetches the STH, verifies its signature (when the log ``key``
-       is pinned) and its consistency with the last verified STH;
+    1. fetches the STH and accepts it by
+       :func:`~repro.ct.auditor.check_sth` — the same rule
+       :class:`~repro.ct.auditor.LogAuditor` applies: its signature
+       (when the log ``key`` is pinned) and its consistency with the
+       last verified STH;
     2. walks the log's signed batch digests from its cursor, verifying
        each digest signature and the digest root's consistency with
        the served tree head — so the *claimed* domain list is bound to
@@ -598,8 +608,9 @@ class LightweightMonitor:
 
     Obs surface: per successful poll one ``lightweight_poll`` event
     plus ``monitor.wire_entries`` / ``monitor.wire_bytes`` /
-    ``monitor.matches`` counters — the wire cost ledger the efficiency
-    benchmark gates on; findings emit ``audit_finding`` events and
+    ``monitor.matches`` counters, all from one per-poll delta of the
+    transport's ``stats()`` (the transport holds the cumulative wire
+    ledger); findings emit ``audit_finding`` events and
     ``auditor.findings{log=,kind=}`` counters, the same family
     :class:`~repro.ct.auditor.LogAuditor` reports into.  With a
     ``tracer``, each poll runs under a ``monitor.poll`` client root
@@ -633,9 +644,6 @@ class LightweightMonitor:
         self.digests_verified = 0
         self.proofs_verified = 0
         self.entries_matched = 0
-        self.wire_entries: Dict[str, int] = {}
-        self.wire_bytes: Dict[str, int] = {}
-        self.wire_requests: Dict[str, int] = {}
 
     def matches(self, names: Sequence[str]) -> bool:
         """Whether any of ``names`` falls under a subscribed domain."""
@@ -735,19 +743,13 @@ class LightweightMonitor:
         except Exception as exc:
             self._find(name, "fetch-error", f"get-sth failed: {exc!r}", when)
             return []
-        if self.key is not None and not sth.verify(self.key):
-            self._find(
-                name,
-                "bad-sth-signature",
-                f"STH for tree size {sth.tree_size} has an invalid signature",
-                when,
-            )
-            return []
-        self.sths_verified += 1
-        previous = self._verified.get(name)
-        if previous is not None and not self._check_history(
-            transport, previous, sth, when
-        ):
+        problem = check_sth(
+            self._verified.get(name), sth, self.key, transport.get_consistency
+        )
+        if problem is None or problem[0] != BAD_SIGNATURE:
+            self.sths_verified += 1
+        if problem is not None:
+            self._find(name, *problem, when)
             return []
         cursor = self._cursors.get(name, 0)
         try:
@@ -786,8 +788,16 @@ class LightweightMonitor:
                 name, "fetch-error", f"digest walk failed: {exc!r}", when
             )
         self._verified[name] = sth
-        self._account(transport, before, sth, len(observations))
         after = transport.stats()
+        entries = after["entries"] - before["entries"]
+        moved = after["bytes"] - before["bytes"]
+        labels = {"monitor": self.name, "log": name}
+        self.metrics.inc("monitor.wire_entries", entries, **labels)
+        self.metrics.inc("monitor.wire_bytes", moved, **labels)
+        self.metrics.inc("monitor.matches", len(observations), **labels)
+        self.metrics.set_gauge(
+            "monitor.verified_tree_size", sth.tree_size, **labels
+        )
         self.events.emit(
             "lightweight_poll",
             monitor=self.name,
@@ -795,8 +805,8 @@ class LightweightMonitor:
             tree_size=sth.tree_size,
             cursor=self._cursors.get(name, 0),
             matches=len(observations),
-            wire_entries=after["entries"] - before["entries"],
-            wire_bytes=after["bytes"] - before["bytes"],
+            wire_entries=entries,
+            wire_bytes=moved,
             ok=len(self.findings) == findings_before,
         )
         return observations
@@ -807,64 +817,6 @@ class LightweightMonitor:
         self, log: Union[LogTransport, CTLog]
     ) -> List[LogObservation]:
         return self.poll(log)
-
-    def _check_history(
-        self,
-        transport: LogTransport,
-        previous: SignedTreeHead,
-        sth: SignedTreeHead,
-        now: datetime,
-    ) -> bool:
-        """Consistency of the new STH with the last verified one."""
-        name = transport.name
-        if sth.tree_size < previous.tree_size:
-            self._find(
-                name,
-                "inconsistent-history",
-                f"tree shrank from {previous.tree_size} to {sth.tree_size}",
-                now,
-            )
-            return False
-        if sth.tree_size == previous.tree_size:
-            if sth.root_hash != previous.root_hash:
-                self._find(
-                    name,
-                    "inconsistent-history",
-                    f"two roots at tree size {sth.tree_size}: "
-                    f"{previous.root_hash.hex()[:16]}… then "
-                    f"{sth.root_hash.hex()[:16]}…",
-                    now,
-                )
-                return False
-            return True
-        try:
-            proof = transport.get_consistency(
-                previous.tree_size, sth.tree_size
-            )
-        except Exception as exc:
-            self._find(
-                name,
-                "fetch-error",
-                f"get-consistency failed: {exc!r}",
-                now,
-            )
-            return False
-        if not verify_consistency_proof(
-            previous.tree_size,
-            sth.tree_size,
-            previous.root_hash,
-            sth.root_hash,
-            proof,
-        ):
-            self._find(
-                name,
-                "inconsistent-history",
-                f"no valid consistency proof from size "
-                f"{previous.tree_size} to {sth.tree_size}",
-                now,
-            )
-            return False
-        return True
 
     def _check_digest(
         self,
@@ -893,7 +845,7 @@ class LightweightMonitor:
         if self.key is not None and not digest.verify(self.key):
             self._find(
                 name,
-                "bad-sth-signature",
+                BAD_SIGNATURE,
                 f"batch digest [{digest.start}, {digest.end}) has an "
                 f"invalid signature",
                 now,
@@ -921,37 +873,6 @@ class LightweightMonitor:
             return False
         self.digests_verified += 1
         return True
-
-    def _account(
-        self,
-        transport: LogTransport,
-        before: Dict[str, int],
-        sth: SignedTreeHead,
-        matched: int,
-    ) -> None:
-        after = transport.stats()
-        name = transport.name
-        entries = after["entries"] - before["entries"]
-        moved = after["bytes"] - before["bytes"]
-        requests = after["requests"] - before["requests"]
-        self.wire_entries[name] = self.wire_entries.get(name, 0) + entries
-        self.wire_bytes[name] = self.wire_bytes.get(name, 0) + moved
-        self.wire_requests[name] = self.wire_requests.get(name, 0) + requests
-        labels = {"monitor": self.name, "log": name}
-        self.metrics.inc("monitor.wire_entries", entries, **labels)
-        self.metrics.inc("monitor.wire_bytes", moved, **labels)
-        self.metrics.inc("monitor.matches", matched, **labels)
-        self.metrics.set_gauge(
-            "monitor.verified_tree_size", sth.tree_size, **labels
-        )
-
-    def wire_stats(self) -> Dict[str, int]:
-        """Cumulative wire cost over every log this monitor polled."""
-        return {
-            "requests": sum(self.wire_requests.values()),
-            "entries": sum(self.wire_entries.values()),
-            "bytes": sum(self.wire_bytes.values()),
-        }
 
     @property
     def clean(self) -> bool:

@@ -53,11 +53,13 @@ generator of :mod:`repro.workloads.loadgen`), and :func:`harvest_log`
 rebuilds a complete, Merkle-verified log replica from the HTTP
 endpoints alone — the parity tests prove a corpus built from such a
 replica is bit-identical to one read from the in-process object.
+A ``get-entries`` element is the :mod:`repro.ct.storage` entry record:
+:func:`entry_to_wire` / :func:`entry_from_wire` add only the RFC 6962
+envelope (``leaf_input`` plus base64 JSON ``extra_data``).
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import re
@@ -91,13 +93,19 @@ from repro.ct.log import (
 from repro.ct.merkle import MerkleTree
 from repro.ct.sequencer import DEFAULT_MAX_BATCH, LogSequencer
 from repro.ct.sct import SctEntryType, SignedCertificateTimestamp
-from repro.ct.storage import certificate_from_dict, certificate_to_dict
+from repro.ct.storage import (
+    _b64,
+    _unb64,
+    certificate_from_dict,
+    certificate_to_dict,
+    entry_from_record,
+    entry_record,
+)
 from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.obs.tracectx import TRACEPARENT_HEADER, TraceContext
 from repro.util.httpd import ClientConnection, FramedRequestHandler, HttpServerHandle
-from repro.util.timeutil import from_timestamp_ms, timestamp_ms
 
 if TYPE_CHECKING:  # avoid a runtime import cycle through repro.dataset
     from repro.dataset.live import LiveAnalytics
@@ -121,14 +129,6 @@ def log_slug(name: str) -> str:
     return slug
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"), validate=True)
-
-
 class HttpApiError(Exception):
     """An error the server answers with a specific HTTP status."""
 
@@ -141,18 +141,14 @@ class HttpApiError(Exception):
 def entry_to_wire(entry: LogEntry) -> Dict[str, str]:
     """One get-entries element: RFC-shaped ``leaf_input`` + ``extra_data``.
 
-    ``extra_data`` carries the full certificate record (the same JSON
-    schema :mod:`repro.ct.storage` persists), base64-wrapped, so a
-    harvester can rebuild the exact :class:`~repro.ct.log.LogEntry`.
+    ``extra_data`` is the rest of the :func:`repro.ct.storage.entry_record`
+    as sorted-key JSON, base64-wrapped, so a harvester can rebuild the
+    exact :class:`~repro.ct.log.LogEntry`.
     """
-    extra = {
-        "certificate": certificate_to_dict(entry.certificate),
-        "submitted_at": timestamp_ms(entry.submitted_at),
-        "entry_type": int(entry.entry_type),
-        "index": entry.index,
-    }
+    extra = entry_record(entry)
+    leaf_input = extra.pop("leaf_input")
     return {
-        "leaf_input": _b64(entry.leaf_input),
+        "leaf_input": leaf_input,
         "extra_data": _b64(
             json.dumps(extra, separators=(",", ":"), sort_keys=True).encode()
         ),
@@ -161,14 +157,9 @@ def entry_to_wire(entry: LogEntry) -> Dict[str, str]:
 
 def entry_from_wire(element: Mapping[str, str]) -> LogEntry:
     """Invert :func:`entry_to_wire`."""
-    extra = json.loads(_unb64(element["extra_data"]))
-    return LogEntry(
-        index=extra["index"],
-        submitted_at=from_timestamp_ms(extra["submitted_at"]),
-        entry_type=SctEntryType(extra["entry_type"]),
-        certificate=certificate_from_dict(extra["certificate"]),
-        leaf_input=_unb64(element["leaf_input"]),
-    )
+    record = json.loads(_unb64(element["extra_data"]))
+    record["leaf_input"] = element["leaf_input"]
+    return entry_from_record(record)
 
 
 class _MemoCache:

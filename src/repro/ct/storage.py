@@ -1,10 +1,17 @@
-"""Out-of-core persistence for CT log harvests.
+"""Out-of-core persistence for CT log harvests, and the entry codec.
 
 The paper harvested "data of all CT log servers deployed" — hundreds
 of millions of entries in reality.  This module serializes log
 contents to JSON-lines so harvests survive process restarts and can be
 analyzed incrementally, and restores them with the Merkle tree rebuilt
 and verified against the stored tree head.
+
+It also owns the one log-entry record, ``{index, submitted_at,
+entry_type, leaf_input, certificate}``: :func:`entry_record` and
+:func:`entry_from_record` are its only encoder and decoder.  A harvest
+line is the record plus ``"type": "entry"``; a ``get-entries`` element
+(:func:`repro.ct.server.entry_to_wire`) carries the record's
+``leaf_input`` in its RFC 6962 envelope and the rest as ``extra_data``.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import base64
 import json
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Mapping, Optional, Union
 
 from repro.ct.log import CTLog, LogEntry
 from repro.ct.sct import SctEntryType
@@ -30,7 +37,7 @@ def _b64(data: bytes) -> str:
 
 
 def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
+    return base64.b64decode(text.encode("ascii"), validate=True)
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -70,6 +77,29 @@ def certificate_from_dict(data: dict) -> Certificate:
     )
 
 
+def entry_record(entry: LogEntry) -> Dict[str, object]:
+    """The JSON-ready record of one log entry (byte fields base64)."""
+    return {
+        "index": entry.index,
+        "submitted_at": timestamp_ms(entry.submitted_at),
+        "entry_type": int(entry.entry_type),
+        "leaf_input": _b64(entry.leaf_input),
+        "certificate": certificate_to_dict(entry.certificate),
+    }
+
+
+def entry_from_record(record: Mapping[str, object]) -> LogEntry:
+    """Invert :func:`entry_record` (extra keys, such as ``type``, are
+    ignored)."""
+    return LogEntry(
+        index=record["index"],
+        submitted_at=from_timestamp_ms(record["submitted_at"]),
+        entry_type=SctEntryType(record["entry_type"]),
+        certificate=certificate_from_dict(record["certificate"]),
+        leaf_input=_unb64(record["leaf_input"]),
+    )
+
+
 def dump_log(log: CTLog, path: Union[str, Path]) -> int:
     """Write a log's entries plus a trailer with the tree head.
 
@@ -78,14 +108,7 @@ def dump_log(log: CTLog, path: Union[str, Path]) -> int:
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         for entry in log.entries:
-            record = {
-                "type": "entry",
-                "index": entry.index,
-                "submitted_at": timestamp_ms(entry.submitted_at),
-                "entry_type": int(entry.entry_type),
-                "leaf_input": _b64(entry.leaf_input),
-                "certificate": certificate_to_dict(entry.certificate),
-            }
+            record = {"type": "entry", **entry_record(entry)}
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")
         trailer = {
             "type": "tree-head",
@@ -404,19 +427,9 @@ def load_log(path: Union[str, Path], into: CTLog) -> int:
         if record["type"] == "tree-head":
             trailer = record
             continue
-        cert = certificate_from_dict(record["certificate"])
-        entry_type = SctEntryType(record["entry_type"])
-        leaf = _unb64(record["leaf_input"])
-        into.tree.append(leaf)
-        into.entries.append(
-            LogEntry(
-                index=record["index"],
-                submitted_at=from_timestamp_ms(record["submitted_at"]),
-                entry_type=entry_type,
-                certificate=cert,
-                leaf_input=leaf,
-            )
-        )
+        entry = entry_from_record(record)
+        into.tree.append(entry.leaf_input)
+        into.entries.append(entry)
         count += 1
     if trailer is None:
         raise LogStorageError("harvest file has no tree-head trailer")

@@ -366,8 +366,7 @@ class CertCorpus:
         duplicate entry indices are dropped first-record-wins, counted
         into ``metrics`` as ``dataset.duplicate_entries_skipped``.
         """
-        from repro.ct.storage import certificate_from_dict, iter_stored_entries
-        from repro.util.timeutil import from_timestamp_ms
+        from repro.ct.storage import entry_from_record, iter_stored_entries
 
         started = time.perf_counter()
         corpus = cls.empty()
@@ -381,21 +380,18 @@ class CertCorpus:
                 continue
             if rtype != "entry":
                 continue
-            index = record.get("index")
-            if index in seen_indices:
+            entry = entry_from_record(record)
+            if entry.index in seen_indices:
                 duplicates += 1
                 continue
-            seen_indices.add(index)
-            cert = certificate_from_dict(record["certificate"])
+            seen_indices.add(entry.index)
+            cert = entry.certificate
             corpus._append_encoded(
                 cert.issuer_org,
                 cert.serial,
-                from_timestamp_ms(record["submitted_at"]).date(),
+                entry.submitted_at.date(),
                 "",  # patched below once the trailer names the log
-                (
-                    SctEntryType(record["entry_type"])
-                    is SctEntryType.PRECERT_ENTRY
-                ),
+                entry.entry_type is SctEntryType.PRECERT_ENTRY,
                 tuple(cert.dns_names()) if with_names else (),
             )
         corpus._rename_all_logs(log_name)

@@ -6,10 +6,7 @@ reproduction decomposes the same way related CT monitors do: process
 each log (or index range, or stream chunk) independently and merge the
 typed partial results into one view.  This package provides
 
-* :mod:`repro.pipeline.shard` — shard planning (per-log and
-  per-index-range);
-* :mod:`repro.pipeline.merge` — typed mergers (counter, top-k,
-  set-union) for partial results;
+* :mod:`repro.pipeline.shard` — index-range shard planning;
 * :mod:`repro.pipeline.engine` — :class:`PipelineEngine`, the
   ``concurrent.futures`` fan-out with a serial fallback and
   checkpoint support;
@@ -33,12 +30,6 @@ from repro.pipeline.harvest import (
     analyze_harvest_sections,
     analyze_log_names,
 )
-from repro.pipeline.merge import (
-    CounterMerge,
-    SetUnionMerge,
-    TopKMerge,
-    merge_counter2d,
-)
 from repro.pipeline.passes import (
     evolution_sections,
     leakage_names,
@@ -47,20 +38,14 @@ from repro.pipeline.passes import (
 from repro.pipeline.shard import (
     DEFAULT_SHARD_SIZE,
     Shard,
-    plan_log_shards,
     plan_sequence_shards,
 )
 
 __all__ = [
     "MapResult",
     "PipelineEngine",
-    "CounterMerge",
-    "TopKMerge",
-    "SetUnionMerge",
-    "merge_counter2d",
     "Shard",
     "DEFAULT_SHARD_SIZE",
-    "plan_log_shards",
     "plan_sequence_shards",
     "evolution_sections",
     "traffic_adoption",

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.core import leakage
 from repro.ct.storage import (
     HarvestCheckpoint,
-    certificate_from_dict,
+    entry_from_record,
     iter_stored_entries,
     read_tree_head,
 )
@@ -42,9 +42,7 @@ def harvest_entry_names(
         if index >= stop:
             break
         if index >= start:
-            names.extend(
-                certificate_from_dict(record["certificate"]).dns_names()
-            )
+            names.extend(entry_from_record(record).certificate.dns_names())
         index += 1
     return names
 

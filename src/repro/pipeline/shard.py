@@ -1,12 +1,8 @@
 """Shard planning: split corpora into independently processable chunks.
 
-Two decompositions cover every pass in the reproduction:
-
-* **per-log + per-index-range** — a CT harvest is naturally a set of
-  logs, each an append-only entry sequence; a shard is a half-open
-  index range ``[start, stop)`` within one log;
-* **per-sequence-range** — flat corpora (a connection stream, the CT
-  FQDN list) shard into contiguous ranges of one anonymous source.
+Every pass shards its corpus (a connection stream, the CT FQDN list,
+a stored harvest's entry sequence) into contiguous half-open index
+ranges ``[start, stop)`` of one source.
 
 Shards carry a dense global ``index`` that fixes the merge order:
 reducing partials in index order reproduces the serial iteration
@@ -16,7 +12,7 @@ order exactly, which is what keeps parallel outputs bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 #: Default entries per shard; small enough to balance a pool, large
 #: enough that per-task overhead stays negligible.
@@ -67,29 +63,3 @@ def plan_sequence_shards(
         )
         for index, start in enumerate(range(0, total, shard_size))
     ]
-
-
-def plan_log_shards(
-    log_sizes: Mapping[str, int], shard_size: int = DEFAULT_SHARD_SIZE
-) -> List[Shard]:
-    """Per-log, per-index-range shards over a harvest.
-
-    ``log_sizes`` maps log name -> entry count, in the order the
-    serial pass iterates the logs; the resulting shard indices follow
-    that order so an in-order merge replays the serial scan.
-    """
-    _check_shard_size(shard_size)
-    shards: List[Shard] = []
-    for name, size in log_sizes.items():
-        if size < 0:
-            raise ValueError(f"log {name!r} has negative size {size}")
-        for start in range(0, size, shard_size):
-            shards.append(
-                Shard(
-                    index=len(shards),
-                    source=name,
-                    start=start,
-                    stop=min(start + shard_size, size),
-                )
-            )
-    return shards

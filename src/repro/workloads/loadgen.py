@@ -456,7 +456,8 @@ def gossip_storm_sths(
     over HTTP by independent clients (each with its own
     ``X-Repro-Client`` identity), so a split-view server that showed
     different clients different roots is caught here — the pool
-    returns one finding per detected fork.
+    returns one finding per detected fork, and one per STH whose
+    signature does not verify under the key the pool holds.
     """
     findings: List["AuditFinding"] = []
     for result in report.results:

@@ -102,7 +102,7 @@ def test_broken_promise_after_mmd_is_violation(log, ca256, now):
 class TestGossip:
     def test_consistent_views_are_clean(self, log, ca256, now):
         grow(ca256, log, 3, now)
-        pool = GossipPool()
+        pool = GossipPool({log.name: log.key})
         sth = log.get_sth(now + timedelta(hours=1))
         assert pool.submit(log.name, sth, "vantage-a") is None
         assert pool.submit(log.name, sth, "vantage-b") is None
@@ -114,7 +114,7 @@ class TestGossip:
         # Pad the twin to the honest log's size: same tree size,
         # different content — the equivocation gossip catches.
         twin = make_split_view_log(log, fork_at=4, pad_to=log.size)
-        pool = GossipPool()
+        pool = GossipPool({log.name: log.key})
         honest_sth = log.get_sth(now + timedelta(hours=2))
         twin_sth = twin.get_sth(now + timedelta(hours=2))
         assert honest_sth.tree_size == twin_sth.tree_size
@@ -124,9 +124,35 @@ class TestGossip:
         assert finding.kind == "split-view"
         assert not pool.clean
 
+    def test_forged_sth_is_not_proof_of_equivocation(self, log, ca256, now):
+        from dataclasses import replace
+
+        grow(ca256, log, 6, now)
+        pool = GossipPool({log.name: log.key})
+        honest = log.get_sth(now + timedelta(hours=1))
+        forged = replace(
+            honest, root_hash=b"\x00" * 32, signature=b"not a signature"
+        )
+        assert pool.submit(log.name, honest, "vantage-a") is None
+        finding = pool.submit(log.name, forged, "vantage-b")
+        assert finding is not None
+        assert finding.kind == "bad-sth-signature"
+        assert pool.equivocations == []
+        # Never stored: a forged head seen first cannot frame the honest one.
+        first = GossipPool({log.name: log.key})
+        assert first.submit(log.name, forged, "vantage-b").kind == (
+            "bad-sth-signature"
+        )
+        assert first.submit(log.name, honest, "vantage-a") is None
+        assert first.equivocations == []
+        # A log the pool holds no key for cannot be vouched for either.
+        unknown = first.submit("Unknown Log", honest, "vantage-a")
+        assert unknown.kind == "bad-sth-signature"
+        assert first.sths_gossiped == 3
+
     def test_same_root_from_many_reporters_stays_clean(self, log, ca256, now):
         grow(ca256, log, 4, now)
-        pool = GossipPool()
+        pool = GossipPool({log.name: log.key})
         sth = log.get_sth(now + timedelta(minutes=30))
         for reporter in (f"vantage-{i}" for i in range(12)):
             assert pool.submit(log.name, sth, reporter) is None
@@ -138,7 +164,7 @@ class TestGossip:
         fork_a = make_split_view_log(log, fork_at=3, pad_to=log.size)
         fork_b = make_split_view_log(log, fork_at=5, pad_to=log.size)
         assert fork_a.tree.root() != fork_b.tree.root()
-        pool = GossipPool()
+        pool = GossipPool({log.name: log.key})
         when = now + timedelta(hours=1)
         pool.submit(log.name, log.get_sth(when), "honest-client")
         assert pool.submit(log.name, fork_a.get_sth(when), "victim-a")
@@ -150,7 +176,7 @@ class TestGossip:
     def test_repeated_equivocating_sth_not_duplicated(self, log, ca256, now):
         grow(ca256, log, 6, now)
         twin = make_split_view_log(log, fork_at=4, pad_to=log.size)
-        pool = GossipPool()
+        pool = GossipPool({log.name: log.key})
         when = now + timedelta(hours=1)
         pool.submit(log.name, log.get_sth(when), "honest-client")
         twin_sth = twin.get_sth(when)
@@ -170,7 +196,7 @@ class TestGossip:
         twin = make_split_view_log(log, fork_at=4, pad_to=log.size)
         metrics = MetricsRegistry()
         events = EventLog()
-        pool = GossipPool(metrics=metrics, events=events)
+        pool = GossipPool({log.name: log.key}, metrics=metrics, events=events)
         when = now + timedelta(hours=1)
         pool.submit(log.name, log.get_sth(when), "vantage-a", now=when)
         finding = pool.submit(log.name, twin.get_sth(when), "vantage-b", now=when)
@@ -205,7 +231,7 @@ class TestGossip:
 
     def test_different_sizes_do_not_conflict(self, log, ca256, now):
         grow(ca256, log, 2, now)
-        pool = GossipPool()
+        pool = GossipPool({log.name: log.key})
         first = log.get_sth(now + timedelta(minutes=5))
         grow(ca256, log, 2, now + timedelta(minutes=10))
         second = log.get_sth(now + timedelta(minutes=20))

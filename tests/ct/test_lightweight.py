@@ -91,7 +91,7 @@ def test_fetches_only_matching_entries(log, now):
     # Exactly the two matching bodies crossed the transport — the
     # eight non-matching entries were never downloaded.
     assert transport.entries_fetched == 2
-    assert monitor.wire_entries[log.name] == 2
+    assert transport.stats()["entries"] == 2
     assert monitor.sths_verified == 1
     assert monitor.digests_verified == 1
     assert monitor.proofs_verified == 2
@@ -167,7 +167,10 @@ def test_fetch_error_finding_when_log_unreachable(log):
 
 def test_http_end_to_end_with_batched_digests(log, now):
     sequencer = LogSequencer(log, max_batch=64)
-    monitor = LightweightMonitor("m", ["watched.example"], key=log.key)
+    metrics = MetricsRegistry()
+    monitor = LightweightMonitor(
+        "m", ["watched.example"], key=log.key, metrics=metrics
+    )
     with LogServer(sequencer) as server:
         transport = HttpTransport(server.log_url(log.name), log.name)
         first = monitor.poll(transport, now + timedelta(hours=1))
@@ -196,7 +199,11 @@ def test_http_end_to_end_with_batched_digests(log, now):
     assert stats["entries"] == 4
     assert monitor.digests_verified >= 3
     assert stats["bytes"] > 0
-    assert monitor.wire_stats()["bytes"] == stats["bytes"]
+    # The per-poll deltas add up to the transport's cumulative ledger.
+    labels = f"{{log={log.name},monitor=m}}"
+    assert metrics.snapshot().counters[f"monitor.wire_bytes{labels}"] == (
+        stats["bytes"]
+    )
 
 
 def test_obs_wiring_and_replay_parity(log, now):

@@ -149,7 +149,7 @@ def test_storm_gossip_detects_split_view(split_served):
     plans = plan_storm(config, log)
     report = run_storm(plans, server.log_url(log.name), executor="thread")
     assert report.transport_errors == 0
-    pool = GossipPool()
+    pool = GossipPool({log.name: log.key})
     findings = gossip_storm_sths(report, pool, log.name)
     assert findings, "partitioned storm clients must expose the fork"
     assert pool.sths_gossiped >= config.clients
@@ -178,7 +178,7 @@ def test_honest_mount_still_gossips_clean():
             executor="thread",
         )
     assert report.transport_errors == 0
-    pool = GossipPool()
+    pool = GossipPool({log.name: log.key})
     assert gossip_storm_sths(report, pool, log.name) == []
     assert pool.clean
     assert split_view_incidents(pool) == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pipeline.shard import Shard, plan_log_shards, plan_sequence_shards
+from repro.pipeline.shard import Shard, plan_sequence_shards
 
 
 class TestShard:
@@ -41,16 +41,3 @@ class TestPlanSequenceShards:
         with pytest.raises(ValueError):
             plan_sequence_shards(-1, 4)
 
-
-class TestPlanLogShards:
-    def test_per_log_then_per_range(self):
-        shards = plan_log_shards({"a": 5, "b": 0, "c": 3}, 2)
-        assert [(s.source, s.start, s.stop) for s in shards] == [
-            ("a", 0, 2), ("a", 2, 4), ("a", 4, 5), ("c", 0, 2), ("c", 2, 3),
-        ]
-        # Indices are dense and globally ordered (the merge order).
-        assert [s.index for s in shards] == list(range(5))
-
-    def test_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            plan_log_shards({"a": -1}, 2)

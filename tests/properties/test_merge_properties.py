@@ -1,10 +1,10 @@
-"""Merge algebra properties: typed mergers and metric snapshots.
+"""Merge algebra properties: the Fig. 1c reducer and metric snapshots.
 
 Parallel correctness rests on two facts checked here over randomized
 inputs (seeded stdlib ``random``, so failures replay exactly):
 
-* every typed merger reduces *any* contiguous shard split of a stream
-  to the serial result, including key order;
+* the Fig. 1c ``matrix_reduce`` folds *any* contiguous shard split of
+  a stream to the serial matrix, including row/column order;
 * :class:`MetricsSnapshot` merging is associative, commutative, and
   has ``empty()`` as identity — byte-compared via ``to_json`` — so a
   process pool can fold worker snapshots in any grouping.
@@ -15,22 +15,11 @@ Float sums stay exact because observations are dyadic rationals
 
 import random
 
+from repro.core.evolution import matrix_reduce
 from repro.obs import COUNT_BOUNDS, MetricsRegistry, MetricsSnapshot
-from repro.pipeline.merge import (
-    CounterMerge,
-    SetUnionMerge,
-    TopKMerge,
-    merge_counter2d,
-)
 from repro.util.stats import Counter2D
 
 ROUNDS = 25
-
-
-def _random_stream(rng, size):
-    """A key stream with heavy repeats so merges actually collide."""
-    alphabet = [f"k{i}" for i in range(max(2, size // 4))]
-    return [rng.choice(alphabet) for _ in range(size)]
 
 
 def _splits(rng, items):
@@ -38,44 +27,6 @@ def _splits(rng, items):
     cuts = sorted(rng.randrange(0, len(items) + 1) for _ in range(3))
     edges = [0, *cuts, len(items)]
     return [items[a:b] for a, b in zip(edges, edges[1:])]
-
-
-def _counts(stream):
-    counts = {}
-    for key in stream:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def test_counter_merge_equals_serial_for_any_split():
-    for round_no in range(ROUNDS):
-        rng = random.Random(1000 + round_no)
-        stream = _random_stream(rng, rng.randrange(1, 60))
-        serial = _counts(stream)
-        partials = [_counts(part) for part in _splits(rng, stream)]
-        merged = CounterMerge().merge(partials)
-        assert merged == serial
-        assert list(merged) == list(serial)  # first-seen key order too
-
-
-def test_topk_merge_equals_serial_ranking():
-    for round_no in range(ROUNDS):
-        rng = random.Random(2000 + round_no)
-        stream = _random_stream(rng, rng.randrange(1, 80))
-        k = rng.randrange(1, 6)
-        import collections
-
-        serial = collections.Counter(stream).most_common(k)
-        partials = [_counts(part) for part in _splits(rng, stream)]
-        assert TopKMerge(k).merge(partials) == serial
-
-
-def test_set_union_merge_equals_serial():
-    for round_no in range(ROUNDS):
-        rng = random.Random(3000 + round_no)
-        stream = _random_stream(rng, rng.randrange(1, 60))
-        partials = _splits(rng, stream)
-        assert SetUnionMerge().merge(partials) == set(stream)
 
 
 def test_counter2d_merge_equals_serial_for_any_split():
@@ -94,7 +45,7 @@ def test_counter2d_merge_equals_serial_for_any_split():
             for row, col in part:
                 partial.add(row, col)
             partials.append(partial)
-        merged = merge_counter2d(partials)
+        merged = matrix_reduce(partials)
         assert merged.cells() == serial.cells()
         assert merged.rows() == serial.rows()  # insertion order preserved
         assert merged.cols() == serial.cols()

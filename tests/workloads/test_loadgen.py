@@ -328,7 +328,7 @@ def test_gossip_storm_sths_skips_failed_and_foreign_ops():
         wall_seconds=0.01, executor="serial", workers=1,
         clients=2, results=results,
     )
-    pool = GossipPool()
+    pool = GossipPool({log.name: log.key})
     findings = gossip_storm_sths(report, pool, log.name, now=NOW)
     assert findings == []
     assert pool.sths_gossiped == 2
