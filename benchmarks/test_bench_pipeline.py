@@ -7,7 +7,9 @@ three outputs must be identical; the instrumented run must stay
 within ``OVERHEAD_CEILING`` of the bare parallel run.  The >= 2x
 speedup bar (and the overhead bar) only applies where the hardware
 can deliver it (>= 4 CPUs) and timing is meaningful (not
-benchmark-smoke mode).
+benchmark-smoke mode).  A 2-worker variant holds the same pass to
+``TWO_WORKER_SPEEDUP`` on hosts with >= 2 CPUs, so 2-vCPU hosts and
+runners gate a multi-core number too.
 """
 
 import os
@@ -22,6 +24,10 @@ from repro.pipeline import PipelineEngine, leakage_names
 BENCH_WORKERS = 4
 SPEEDUP_TARGET = 2.0
 OVERHEAD_CEILING = 0.05
+#: Below the smallest of the full-mode 2-worker runs measured on a
+#: 2-vCPU host (see CHANGES.md).
+TWO_WORKER_SPEEDUP = 1.15
+TWO_WORKER_REPEATS = 3
 
 
 def _timed(fn):
@@ -112,24 +118,67 @@ def test_bench_pipeline_table2(domain_corpus, request):
         )
 
 
+def test_bench_pipeline_table2_two_workers(domain_corpus, request):
+    names = domain_corpus.ct_fqdns
+    psl = domain_corpus.psl
+    engine = PipelineEngine(workers=2, shard_size=max(1, len(names) // 8))
+    smoke = request.config.getoption("--benchmark-disable", default=False)
+    # CPU-bound work only gets slower under noise, so the best of
+    # TWO_WORKER_REPEATS interleaved runs per side is the estimate.
+    serial_runs, parallel_runs = [], []
+    for _ in range(1 if smoke else TWO_WORKER_REPEATS):
+        serial_stats, seconds = _timed(lambda: leakage.analyze_names(names, psl))
+        serial_runs.append(seconds)
+        parallel_stats, seconds = _timed(lambda: leakage_names(names, engine, psl))
+        parallel_runs.append(seconds)
+        assert parallel_stats == serial_stats
+
+    serial_seconds, parallel_seconds = min(serial_runs), min(parallel_runs)
+    speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
+    record_artifact(
+        "pipeline_two_workers",
+        "Pipeline throughput — Table 2 FQDN pass, 2 workers "
+        f"({len(names)} names, {os.cpu_count()} CPUs, "
+        f"best of {len(serial_runs)})\n"
+        f"  serial            {serial_seconds:8.3f} s\n"
+        f"  2 workers         {parallel_seconds:8.3f} s\n"
+        f"  speedup           {speedup:8.2f}x "
+        f"(gate >= {TWO_WORKER_SPEEDUP}x)",
+        data={
+            "names": len(names),
+            "workers": 2,
+            "serial_seconds": serial_seconds,
+            "parallel_seconds": parallel_seconds,
+            "speedup": speedup,
+            "speedup_gate": TWO_WORKER_SPEEDUP,
+        },
+    )
+    cpus = os.cpu_count() or 1
+    if cpus >= 2 and not smoke:
+        assert speedup >= TWO_WORKER_SPEEDUP, (
+            f"expected >= {TWO_WORKER_SPEEDUP}x with 2 workers on {cpus} "
+            f"CPUs, measured {speedup:.2f}x"
+        )
+
+
 def test_bench_pipeline_checkpoint_resume(tmp_path, fresh_harvest_log):
     """Resuming from a checkpoint re-runs zero shards."""
     from repro.ct.storage import dump_log
-    from repro.pipeline import analyze_harvest_names
+    from repro.pipeline import analyze_harvest_sections
 
     path = tmp_path / "harvest.jsonl"
     dump_log(fresh_harvest_log, path)
     engine = PipelineEngine(workers=2, shard_size=8)
 
     _, cold_seconds = _timed(
-        lambda: analyze_harvest_names(path, engine, checkpoint=True)
+        lambda: analyze_harvest_sections(path, engine, checkpoint=True)
     )
     registry = MetricsRegistry()
     warm_engine = PipelineEngine(workers=2, shard_size=8, metrics=registry)
     resumed, warm_seconds = _timed(
-        lambda: analyze_harvest_names(path, warm_engine, checkpoint=True)
+        lambda: analyze_harvest_sections(path, warm_engine, checkpoint=True)
     )
-    assert resumed == analyze_harvest_names(path)
+    assert resumed["leakage"] == analyze_harvest_sections(path)["leakage"]
     snapshot = registry.snapshot()
     hit_rate = snapshot.gauge("pipeline.checkpoint_hit_rate")
     assert hit_rate == 1.0  # every shard came from the sidecar

@@ -1,6 +1,6 @@
 """Cost of fault tolerance: flaky harvesting vs the fault-free run.
 
-Runs the live-log FQDN pass three ways over the same 40-entry log:
+Runs the live-log section graph three ways over the same 40-entry log:
 fault-free, through a seeded :class:`FlakyLog` failing 20% of fetches
 under a retry budget (output must stay bit-identical), and degraded
 (tail shards permanently dead, run completes with a report).  The
@@ -12,8 +12,7 @@ import time
 from conftest import record_artifact
 
 from repro.core import leakage
-from repro.pipeline import PipelineEngine, analyze_log_names
-from repro.pipeline.harvest import log_entry_names
+from repro.pipeline import PipelineEngine, analyze_log_sections
 from repro.resilience import DegradedResult, FlakyLog, RetryPolicy
 from repro.util.rng import SeededRng
 
@@ -37,7 +36,7 @@ def test_bench_degraded_harvest(fresh_harvest_log):
     retry = RetryPolicy(max_attempts=4, base_delay_s=0.0)
 
     baseline, clean_seconds = _timed(
-        lambda: analyze_log_names(
+        lambda: analyze_log_sections(
             log, PipelineEngine(workers=1, shard_size=SHARD_SIZE)
         )
     )
@@ -50,12 +49,13 @@ def test_bench_degraded_harvest(fresh_harvest_log):
         methods=("get_entries",),
     )
     retried, flaky_seconds = _timed(
-        lambda: analyze_log_names(
+        lambda: analyze_log_sections(
             flaky,
             PipelineEngine(workers=1, shard_size=SHARD_SIZE, retry=retry),
         )
     )
-    assert retried == baseline  # faults + retries change nothing
+    identical = retried["leakage"] == baseline["leakage"]
+    assert identical  # faults + retries change nothing
     assert flaky.faults_injected > 0
 
     dead = FlakyLog(
@@ -63,7 +63,7 @@ def test_bench_degraded_harvest(fresh_harvest_log):
         fail_when=_dead_tail,
     )
     degraded, degraded_seconds = _timed(
-        lambda: analyze_log_names(
+        lambda: analyze_log_sections(
             dead,
             PipelineEngine(
                 workers=1,
@@ -75,20 +75,22 @@ def test_bench_degraded_harvest(fresh_harvest_log):
     )
     assert isinstance(degraded, DegradedResult)
     assert degraded.report.failed_indices == [3, 4]
-    assert degraded.value == leakage.analyze_names(
-        log_entry_names(log, 0, 24)
+    assert degraded.value["leakage"] == leakage.analyze_names(
+        name
+        for entry in log.get_entries(0, 23)
+        for name in entry.certificate.dns_names()
     )
 
     overhead = flaky_seconds / clean_seconds if clean_seconds else 0.0
     lines = [
-        f"Fault-tolerant harvest — live-log FQDN pass ({log.size} entries, "
+        f"Fault-tolerant harvest — live-log section graph ({log.size} entries, "
         f"shard size {SHARD_SIZE})",
         f"  fault-free        {clean_seconds * 1e3:8.2f} ms",
         f"  {FAILURE_RATE:.0%} flaky + retry  {flaky_seconds * 1e3:8.2f} ms   "
         f"({flaky.faults_injected} faults injected, {overhead:.2f}x)",
         f"  degraded tail     {degraded_seconds * 1e3:8.2f} ms   "
         f"({degraded.report.summary()})",
-        f"  retried output identical: {retried == baseline}",
+        f"  retried output identical: {identical}",
     ]
     record_artifact(
         "resilience",

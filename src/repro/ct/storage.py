@@ -135,7 +135,9 @@ def iter_stored_entries(
     of aborting the stream mid-harvest — the Merkle verification in
     :func:`load_log` still rejects the file as a whole if an *entry*
     went missing, while scan-only consumers (tree-head lookup, corpus
-    streaming, checkpoint resume) keep working on the intact prefix.
+    streaming) keep working on the intact prefix.  A checkpointed
+    analysis refuses such a harvest instead: its shard partials are
+    bound to the tree head, which covers the missing entries.
 
     ``on_corrupt="raise"`` restores the strict behaviour and raises
     :class:`LogStorageError` on the first undecodable line.  ``metrics``

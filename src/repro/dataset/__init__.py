@@ -17,9 +17,10 @@ section pass:
   §3 (adoption) and §4 (leakage) passes registered on the graph,
   wrapping the same fold/reduce primitives the serial analyses use;
 * :mod:`repro.dataset.fused` — engine drivers
-  (:func:`analyze_corpus` / :func:`analyze_records`) that shard a
-  corpus and reduce every pass at once, bit-identically serial or
-  process-pooled;
+  (:func:`analyze_corpus` / :func:`analyze_records` /
+  :func:`analyze_shards`) that shard a corpus and reduce every pass at
+  once, bit-identically serial or process-pooled, with checkpointed
+  resume through each extractor's partial codec;
 * :mod:`repro.dataset.live` — :class:`LiveAnalytics`, the incremental
   mode: live extractor states folding ``CertFeed.poll`` batches,
   harvest pages, and :class:`CorpusDelta` windows into the current
@@ -31,7 +32,12 @@ which wears the resilience and obs layers — see README.md.
 """
 
 from repro.dataset.corpus import CertCorpus, CertRecord, CorpusDelta, CorpusView
-from repro.dataset.fused import analyze_corpus, analyze_records, fused_shard_task
+from repro.dataset.fused import (
+    analyze_corpus,
+    analyze_records,
+    analyze_shards,
+    fused_shard_task,
+)
 from repro.dataset.graph import Extractor, PassGraph, SectionPass, ShardResult
 from repro.dataset.live import ANALYTICS_SCHEMA_VERSION, LiveAnalytics
 from repro.dataset.sections import (
@@ -62,6 +68,7 @@ __all__ = [
     "ShardResult",
     "analyze_corpus",
     "analyze_records",
+    "analyze_shards",
     "fused_shard_task",
     "adoption_extractor",
     "adoption_pass",

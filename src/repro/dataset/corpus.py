@@ -34,7 +34,7 @@ from __future__ import annotations
 import sys
 import time
 from array import array
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 from typing import (
     Any,
@@ -76,6 +76,49 @@ class CertRecord(NamedTuple):
     month: str
     is_precert: bool
     names: Tuple[str, ...]
+
+
+_PRECERT = SctEntryType.PRECERT_ENTRY
+
+
+def entry_row(
+    row: Callable[[str, int, date, str, bool, Tuple[str, ...]], _T],
+    log_name: str,
+    entry: LogEntry,
+    with_names: bool,
+) -> _T:
+    """The one rule for which ``LogEntry`` fields make a corpus row:
+    ``row(issuer_org, serial, submission day, log_name, is_precert,
+    CN/SAN names or ())``, with no intermediate tuple per entry."""
+    cert = entry.certificate
+    return row(
+        cert.issuer_org,
+        cert.serial,
+        entry.submitted_at.date(),
+        log_name,
+        entry.entry_type is _PRECERT,
+        tuple(cert.dns_names()) if with_names else (),
+    )
+
+
+#: Submission day -> its ``YYYY-MM`` key, shared by every record
+#: built in this process, so a month is one string object.
+_MONTHS: Dict[date, str] = {}
+
+
+def cert_record(
+    issuer_org: str,
+    serial: int,
+    day: date,
+    log_name: str,
+    is_precert: bool,
+    names: Tuple[str, ...],
+) -> CertRecord:
+    """A :class:`CertRecord` from :func:`entry_row` fields."""
+    month = _MONTHS.get(day)
+    if month is None:
+        month = _MONTHS[day] = month_key(day)
+    return CertRecord(issuer_org, serial, day, log_name, month, is_precert, names)
 
 
 class _Interner:
@@ -385,15 +428,8 @@ class CertCorpus:
                 duplicates += 1
                 continue
             seen_indices.add(entry.index)
-            cert = entry.certificate
-            corpus._append_encoded(
-                cert.issuer_org,
-                cert.serial,
-                entry.submitted_at.date(),
-                "",  # patched below once the trailer names the log
-                entry.entry_type is SctEntryType.PRECERT_ENTRY,
-                tuple(cert.dns_names()) if with_names else (),
-            )
+            # The log name is patched below once the trailer names it.
+            entry_row(corpus._append_encoded, "", entry, with_names)
         corpus._rename_all_logs(log_name)
         if duplicates:
             metrics.inc("dataset.duplicate_entries_skipped", duplicates)
@@ -469,17 +505,9 @@ class CertCorpus:
         own rows plus any *new* distinct values it introduces.
         """
         start = len(self._issuer_ids)
-        precert = SctEntryType.PRECERT_ENTRY
+        append = self._append_encoded
         for entry in entries:
-            cert = entry.certificate
-            self._append_encoded(
-                cert.issuer_org,
-                cert.serial,
-                entry.submitted_at.date(),
-                log_name,
-                entry.entry_type is precert,
-                tuple(cert.dns_names()) if with_names else (),
-            )
+            entry_row(append, log_name, entry, with_names)
         return CorpusDelta(self, start, len(self._issuer_ids))
 
     def append_batch(
@@ -496,23 +524,14 @@ class CertCorpus:
         sources (``CertFeed.poll`` and ``harvest_log`` pages) produce.
         """
         start = len(self._issuer_ids)
-        precert = SctEntryType.PRECERT_ENTRY
+        append = self._append_encoded
         for item in batch:
             entry = getattr(item, "entry", None)
             if entry is not None:
                 log_name = item.log_name
             else:
                 log_name, entry = item
-            cert = entry.certificate
-            submitted: datetime = entry.submitted_at
-            self._append_encoded(
-                cert.issuer_org,
-                cert.serial,
-                submitted.date(),
-                log_name,
-                entry.entry_type is precert,
-                tuple(cert.dns_names()) if with_names else (),
-            )
+            entry_row(append, log_name, entry, with_names)
         return CorpusDelta(self, start, len(self._issuer_ids))
 
     def _rename_all_logs(self, log_name: str) -> None:

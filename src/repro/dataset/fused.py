@@ -3,11 +3,14 @@
 One entry point per corpus shape:
 
 * :func:`analyze_corpus` — a :class:`CertCorpus`, sharded into
-  zero-copy :class:`CorpusView` windows;
+  zero-copy :class:`CorpusView` windows, optionally checkpointed;
 * :func:`analyze_records` — any plain record sequence (the §3
-  connection stream, the §4 FQDN list), sharded by index range.
+  connection stream, the §4 FQDN list), sharded by index range;
+* :func:`analyze_shards` — shards the caller planned, each a record
+  sequence or any object whose ``iter_records()`` yields the shard's
+  records inside the worker (a corpus view, a live-log index range).
 
-Both hand ``(graph, records)`` payloads to a
+All three hand ``(graph, shard)`` payloads to one shard task on a
 :class:`repro.pipeline.PipelineEngine` and reduce the ordered shard
 partials through the graph, so serial (one shard) and process-pool
 runs produce bit-identical results for every registered pass at once.
@@ -25,15 +28,15 @@ Observability (counted into the engine's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
-from repro.dataset.corpus import CertCorpus, CorpusView
+from repro.dataset.corpus import CertCorpus
 from repro.dataset.graph import PassGraph, ShardResult
 
 if TYPE_CHECKING:  # pipeline imports dataset; keep the reverse edge lazy
     from repro.pipeline.engine import PipelineEngine
 
-FusedPayload = Tuple[PassGraph, Union[CorpusView, Sequence[Any]]]
+FusedPayload = Tuple[PassGraph, Any]
 
 
 def _default_engine() -> "PipelineEngine":
@@ -44,35 +47,38 @@ def _default_engine() -> "PipelineEngine":
 
 def fused_shard_task(payload: FusedPayload) -> ShardResult:
     """Run one shard through the graph (module-level: pools pickle it)."""
-    graph, records = payload
-    if isinstance(records, CorpusView):
-        return graph.run_shard(records.iter_records())
-    return graph.run_shard(records)
+    graph, shard = payload
+    iter_records = getattr(shard, "iter_records", None)
+    return graph.run_shard(shard if iter_records is None else iter_records())
 
 
 def analyze_corpus(
     corpus: CertCorpus,
     graph: PassGraph,
     engine: Optional["PipelineEngine"] = None,
+    *,
+    checkpoint: Optional[Any] = None,
 ) -> Any:
     """Every registered pass over the corpus, one traversal per shard.
 
     Returns ``{pass name: result}``; with a degrading engine, a
     :class:`repro.resilience.DegradedResult` wrapping that mapping.
+    ``checkpoint`` (a :class:`repro.ct.storage.HarvestCheckpoint`)
+    records each finished shard's encoded partials and skips the
+    shards it already holds; its shard plan then follows
+    ``engine.shard_size`` whether the engine is serial or pooled.
     """
     from repro.pipeline.shard import plan_sequence_shards
 
     engine = engine or _default_engine()
-    if engine.serial:
-        tasks: Sequence[FusedPayload] = [(graph, corpus.view())]
+    if engine.serial and checkpoint is None:
+        views = [corpus.view()]
     else:
         shards = plan_sequence_shards(
             len(corpus), engine.shard_size, source="corpus"
         )
-        tasks = [
-            (graph, corpus.view(shard.start, shard.stop)) for shard in shards
-        ]
-    return _run(graph, tasks, engine)
+        views = [corpus.view(shard.start, shard.stop) for shard in shards]
+    return analyze_shards(views, graph, engine, checkpoint=checkpoint)
 
 
 def analyze_records(
@@ -87,18 +93,21 @@ def analyze_records(
 
     engine = engine or _default_engine()
     if engine.serial:
-        tasks: Sequence[FusedPayload] = [(graph, records)]
-    else:
-        shards = plan_sequence_shards(
-            len(records), engine.shard_size, source=source
-        )
-        tasks = [(graph, shard.slice(records)) for shard in shards]
-    return _run(graph, tasks, engine)
+        return analyze_shards([records], graph, engine)
+    shards = plan_sequence_shards(len(records), engine.shard_size, source=source)
+    return analyze_shards(
+        [shard.slice(records) for shard in shards], graph, engine
+    )
 
 
-def _run(
-    graph: PassGraph, tasks: Sequence[FusedPayload], engine: "PipelineEngine"
+def analyze_shards(
+    shards: Sequence[Any],
+    graph: PassGraph,
+    engine: "PipelineEngine",
+    *,
+    checkpoint: Optional[Any] = None,
 ) -> Any:
+    """Every registered pass over pre-planned shards, in shard order."""
     metrics = engine.metrics
     fused = graph.traversals_fused()
 
@@ -112,4 +121,11 @@ def _run(
             )
         return graph.reduce([result.partials for result in shard_results])
 
-    return engine.map_reduce(fused_shard_task, tasks, reduce_fn)
+    return engine.map_reduce(
+        fused_shard_task,
+        [(graph, shard) for shard in shards],
+        reduce_fn,
+        checkpoint=checkpoint,
+        encode=graph.encode_shard,
+        decode=graph.decode_shard,
+    )

@@ -39,12 +39,17 @@ class Extractor:
     record into it, and ``finalize`` turns the state into the partial
     that crosses the pool boundary (identity by default — override it
     when the working state holds unpicklable helpers like a PSL).
+    ``encode``/``decode`` convert the partial to and from the JSON
+    value a checkpoint sidecar stores (identity by default, for
+    partials that already are JSON values).
     """
 
     name: str
     init: Callable[[], Any]
     fold: Callable[[Any, Any], None]
     finalize: Callable[[Any], Any] = _identity
+    encode: Callable[[Any], Any] = _identity
+    decode: Callable[[Any], Any] = _identity
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,25 @@ class PassGraph:
             partials=self.finalize_states(states),
             records=count,
             traversals=1,
+        )
+
+    def encode_shard(self, result: ShardResult) -> Dict[str, Any]:
+        """One shard's partials as a JSON value (a checkpoint payload)."""
+        return {
+            name: self.extractors[name].encode(partial)
+            for name, partial in result.partials.items()
+        }
+
+    def decode_shard(self, payload: Mapping[str, Any]) -> ShardResult:
+        """Inverse of :meth:`encode_shard`.  A resumed shard was not
+        walked, so it counts no records and no traversal."""
+        return ShardResult(
+            partials={
+                name: extractor.decode(payload[name])
+                for name, extractor in self.extractors.items()
+            },
+            records=0,
+            traversals=0,
         )
 
     def reduce(

@@ -37,13 +37,11 @@ from typing import (
 )
 
 from repro.ct.log import LogEntry
-from repro.ct.sct import SctEntryType
-from repro.dataset.corpus import CertRecord, CorpusDelta
+from repro.dataset.corpus import CertRecord, CorpusDelta, cert_record, entry_row
 from repro.dataset.graph import PassGraph
 from repro.dataset.sections import section2_graph
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.stats import Counter2D
-from repro.util.timeutil import month_key
 
 #: Schema version of the ``to_dict`` / ``GET /analytics`` payload.
 ANALYTICS_SCHEMA_VERSION = 1
@@ -73,30 +71,8 @@ class LiveAnalytics:
         self.metrics = metrics
         self._states = self.graph.new_states()
         self._lock = threading.Lock()
-        self._month_memo: Dict[Tuple[int, int], str] = {}
         self.records_folded = 0
         self.batches_folded = 0
-
-    # -- record conversion ---------------------------------------------------
-
-    def _month_of(self, day: date) -> str:
-        month = self._month_memo.get((day.year, day.month))
-        if month is None:
-            month = self._month_memo[(day.year, day.month)] = month_key(day)
-        return month
-
-    def _record_from(self, log_name: str, entry: LogEntry) -> CertRecord:
-        cert = entry.certificate
-        day = entry.submitted_at.date()
-        return CertRecord(
-            cert.issuer_org,
-            cert.serial,
-            day,
-            log_name,
-            self._month_of(day),
-            entry.entry_type is SctEntryType.PRECERT_ENTRY,
-            tuple(cert.dns_names()) if self.with_names else (),
-        )
 
     # -- folding -------------------------------------------------------------
 
@@ -113,14 +89,18 @@ class LiveAnalytics:
 
     def fold_events(self, events: Iterable[Any]) -> int:
         """Fold one ``CertFeed.poll`` batch of ``FeedEvent`` items."""
+        with_names = self.with_names
         return self.fold_records(
-            self._record_from(event.log_name, event.entry) for event in events
+            entry_row(cert_record, event.log_name, event.entry, with_names)
+            for event in events
         )
 
     def fold_entries(self, log_name: str, entries: Iterable[LogEntry]) -> int:
         """Fold one harvest page (entries of a single named log)."""
+        with_names = self.with_names
         return self.fold_records(
-            self._record_from(log_name, entry) for entry in entries
+            entry_row(cert_record, log_name, entry, with_names)
+            for entry in entries
         )
 
     def fold_delta(self, delta: CorpusDelta) -> int:

@@ -20,13 +20,16 @@ construction:
 
 Fold functions are module-level and parameterized through
 ``functools.partial``, so graphs pickle into process-pool payloads.
+The §2 and §4 extractors also carry their partial's JSON
+encode/decode pair, so those graphs' shard results can be
+checkpointed.
 """
 
 from __future__ import annotations
 
 from datetime import date
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bro.analyzer import AnalyzerConfig, BroSctAnalyzer
 from repro.core import adoption, evolution, leakage
@@ -59,17 +62,29 @@ def _firsts_fold(state: FirstsState, record: CertRecord) -> None:
         )
 
 
+def _firsts_encode(state: FirstsState) -> List[List[Any]]:
+    return [
+        [issuer, serial, day.isoformat()]
+        for (issuer, serial), day in state.items()
+    ]
+
+
+def _firsts_decode(data: List[List[Any]]) -> FirstsState:
+    return {
+        (issuer, serial): date.fromisoformat(day)
+        for issuer, serial, day in data
+    }
+
+
 def growth_extractor() -> Extractor:
     """First submission day per unique (issuer, serial) precert."""
-    return Extractor(PRECERT_FIRSTS, _firsts_init, _firsts_fold)
-
-
-def _growth_reduce(
-    partials: List[FirstsState],
-    start: Optional[date],
-    end: Optional[date],
-) -> Dict[str, List[Tuple[date, int]]]:
-    return evolution.growth_reduce(partials, start=start, end=end)
+    return Extractor(
+        PRECERT_FIRSTS,
+        _firsts_init,
+        _firsts_fold,
+        encode=_firsts_encode,
+        decode=_firsts_decode,
+    )
 
 
 def growth_pass(
@@ -77,7 +92,9 @@ def growth_pass(
 ) -> SectionPass:
     """Figure 1a: cumulative unique-precert growth per CA."""
     return SectionPass(
-        "growth", PRECERT_FIRSTS, partial(_growth_reduce, start=start, end=end)
+        "growth",
+        PRECERT_FIRSTS,
+        partial(evolution.growth_reduce, start=start, end=end),
     )
 
 
@@ -98,10 +115,26 @@ def _matrix_fold(month: str, state: Counter2D, record: CertRecord) -> None:
         state.add(record.issuer_org, record.log_name, 1)
 
 
+def _matrix_encode(state: Counter2D) -> List[List[Any]]:
+    return [[row, col, count] for (row, col), count in state.cells().items()]
+
+
+def _matrix_decode(data: List[List[Any]]) -> Counter2D:
+    # Replaying cells in stored order keeps row/col first-seen order.
+    matrix = Counter2D()
+    for row, col, count in data:
+        matrix.add(row, col, count)
+    return matrix
+
+
 def matrix_extractor(month: str) -> Extractor:
     """Precert log-entry counts per (CA, log) within one month."""
     return Extractor(
-        MATRIX_CELLS, _matrix_init, partial(_matrix_fold, month)
+        MATRIX_CELLS,
+        _matrix_init,
+        partial(_matrix_fold, month),
+        encode=_matrix_encode,
+        decode=_matrix_decode,
     )
 
 
@@ -132,32 +165,31 @@ def _leak_finalize(state: leakage.NameFold) -> leakage.LeakagePartial:
     return state.partial
 
 
-def _leak_payload_psl(
+def _leak_extractor(
     psl: Optional[PublicSuffixList],
-) -> Optional[PublicSuffixList]:
-    return None if psl is None or psl is default_psl() else psl
+    fold: Callable[[leakage.NameFold, Any], None],
+) -> Extractor:
+    payload_psl = None if psl is None or psl is default_psl() else psl
+    return Extractor(
+        LEAKAGE_NAMES,
+        partial(_leak_init, payload_psl),
+        fold,
+        _leak_finalize,
+        leakage.encode_leakage_partial,
+        leakage.decode_leakage_partial,
+    )
 
 
 def leakage_extractor(psl: Optional[PublicSuffixList] = None) -> Extractor:
     """Table 2 name pipeline over the corpus CN/SAN names column."""
-    return Extractor(
-        LEAKAGE_NAMES,
-        partial(_leak_init, _leak_payload_psl(psl)),
-        _leak_fold_record,
-        _leak_finalize,
-    )
+    return _leak_extractor(psl, _leak_fold_record)
 
 
 def leakage_name_extractor(
     psl: Optional[PublicSuffixList] = None,
 ) -> Extractor:
     """Table 2 name pipeline over a plain FQDN stream (§4 corpus)."""
-    return Extractor(
-        LEAKAGE_NAMES,
-        partial(_leak_init, _leak_payload_psl(psl)),
-        _leak_fold_name,
-        _leak_finalize,
-    )
+    return _leak_extractor(psl, _leak_fold_name)
 
 
 def leakage_pass() -> SectionPass:

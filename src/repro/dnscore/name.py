@@ -19,11 +19,20 @@ MAX_LABEL_LENGTH = 63
 
 _LABEL_RE = re.compile(r"^(?!-)[a-z0-9-]{1,63}(?<!-)$")
 _TLD_RE = re.compile(r"^[a-z][a-z0-9-]*(?<!-)$")
+_TRAILING_RE = re.compile(r"[\s.]+$")
 
 
 def normalize_name(name: str) -> str:
-    """Lowercase and strip the optional trailing root dot."""
-    return name.strip().lower().rstrip(".")
+    """Lowercase and strip surrounding whitespace and the trailing root dot.
+
+    Whitespace and dots are stripped from the right together, so that
+    ``"a.com ."`` normalizes to ``"a.com"`` and normalizing twice changes
+    nothing.
+    """
+    normalized = name.strip().lower().rstrip(".")
+    if normalized[-1:].isspace():
+        normalized = _TRAILING_RE.sub("", normalized)
+    return normalized
 
 
 def split_labels(name: str) -> List[str]:

@@ -13,6 +13,7 @@ gov.uk, …).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.dnscore.name import normalize_name, split_labels
@@ -72,6 +73,12 @@ class PublicSuffixList:
             self._wildcards.add(rule[2:])
         else:
             self._exact.add(rule)
+
+    def rules_digest(self) -> str:
+        """A short digest of the rule set, for binding stored results."""
+        rules = sorted(self._exact) + sorted(f"*.{r}" for r in self._wildcards)
+        rules += sorted(f"!{r}" for r in self._exceptions)
+        return hashlib.sha256("\n".join(rules).encode()).hexdigest()[:16]
 
     # -- core algorithm ------------------------------------------------------
 

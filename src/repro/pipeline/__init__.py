@@ -15,9 +15,11 @@ typed partial results into one view.  This package provides
   leakage) driven through the fused :mod:`repro.dataset` layer —
   :func:`~repro.pipeline.passes.evolution_sections` computes all of
   §2 in one corpus traversal per shard;
-* :mod:`repro.pipeline.harvest` — checkpointed analysis of stored
-  harvests (see :mod:`repro.ct.storage`), plus the fused
-  :func:`~repro.pipeline.harvest.analyze_harvest_sections`.
+* :mod:`repro.pipeline.harvest` — the fused §2 + §4 section graph
+  over a stored harvest (see :mod:`repro.ct.storage`), checkpointed
+  and resumable, or over a live log's ``get_entries``:
+  :func:`~repro.pipeline.harvest.analyze_harvest_sections` and
+  :func:`~repro.pipeline.harvest.analyze_log_sections`.
 
 Parallel and serial paths produce bit-identical outputs: partials are
 always merged in shard order, and the serial implementations are the
@@ -25,11 +27,7 @@ single-shard special case of the same map/reduce decomposition.
 """
 
 from repro.pipeline.engine import MapResult, PipelineEngine
-from repro.pipeline.harvest import (
-    analyze_harvest_names,
-    analyze_harvest_sections,
-    analyze_log_names,
-)
+from repro.pipeline.harvest import analyze_harvest_sections, analyze_log_sections
 from repro.pipeline.passes import (
     evolution_sections,
     leakage_names,
@@ -50,7 +48,6 @@ __all__ = [
     "evolution_sections",
     "traffic_adoption",
     "leakage_names",
-    "analyze_harvest_names",
     "analyze_harvest_sections",
-    "analyze_log_names",
+    "analyze_log_sections",
 ]

@@ -21,7 +21,6 @@ in a :class:`~repro.resilience.DegradationReport`
 
 from __future__ import annotations
 
-import inspect
 import time
 from concurrent.futures import (
     Executor,
@@ -202,9 +201,12 @@ class PipelineEngine:
     ) -> MapResult:
         """Run ``map_fn`` over every task; return partials in task order.
 
-        ``checkpoint`` must offer ``completed() -> Dict[int, payload]``
-        and ``record(index, payload)``; ``encode``/``decode`` convert
-        partials to/from the checkpoint's serializable payloads.
+        ``checkpoint`` must offer ``completed() -> Dict[int, payload]``,
+        ``record(index, payload, *, attempts)`` and
+        ``record_degraded(report)``, as
+        :class:`repro.ct.storage.HarvestCheckpoint` does;
+        ``encode``/``decode`` convert partials to/from the checkpoint's
+        serializable payloads.
 
         A shard that exhausts its retries raises
         :class:`ShardFailedError` (``on_error="raise"``) or is left as
@@ -244,7 +246,10 @@ class PipelineEngine:
             nonlocal retries
             retries += attempts - 1
             results[index] = value
-            self._record(checkpoint, encode, index, value, attempts)
+            if checkpoint is not None:
+                checkpoint.record(
+                    index, encode(value) if encode else value, attempts=attempts
+                )
             self.metrics.absorb(snap)
             self.metrics.inc("pipeline.shards_completed")
             if attempts > 1:
@@ -319,11 +324,7 @@ class PipelineEngine:
                     failed=list(report.failed_indices),
                     retries=report.retries,
                 )
-            if (
-                checkpoint is not None
-                and report.failed
-                and hasattr(checkpoint, "record_degraded")
-            ):
+            if checkpoint is not None and report.failed:
                 checkpoint.record_degraded(report)
         self.events.emit(
             "map_finish",
@@ -377,22 +378,6 @@ class PipelineEngine:
             )
             return value
 
-    @staticmethod
-    def _record(
-        checkpoint: Optional[Any],
-        encode: Optional[Codec],
-        index: int,
-        result: Any,
-        attempts: int = 1,
-    ) -> None:
-        if checkpoint is None:
-            return
-        payload = encode(result) if encode else result
-        if attempts > 1 and _accepts_attempts(checkpoint.record):
-            checkpoint.record(index, payload, attempts=attempts)
-        else:
-            checkpoint.record(index, payload)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PipelineEngine(workers={self.workers}, "
@@ -400,10 +385,3 @@ class PipelineEngine:
             f"retry={self.retry!r}, on_error={self.on_error!r})"
         )
 
-
-def _accepts_attempts(record_fn: Callable[..., Any]) -> bool:
-    """Whether a checkpoint's ``record`` takes the ``attempts`` kwarg."""
-    try:
-        return "attempts" in inspect.signature(record_fn).parameters
-    except (TypeError, ValueError):  # builtins, C callables
-        return False

@@ -1,14 +1,17 @@
 """Sharded re-analysis and checkpointing of stored harvests.
 
 A harvest saved serially must load and verify identically when
-re-analyzed with ``workers > 1``, and a corrupted shard checkpoint
-must raise :class:`LogStorageError` rather than silently resuming.
+re-analyzed with ``workers > 1``, a checkpointed run must equal the
+unchecked one, and a corrupted or mismatched shard checkpoint must
+raise :class:`LogStorageError` rather than silently resuming.
 """
 
 import json
+import os
 
 import pytest
 
+from repro import cli
 from repro.ct.log import CTLog
 from repro.ct.storage import (
     HarvestCheckpoint,
@@ -17,9 +20,27 @@ from repro.ct.storage import (
     load_log,
     read_tree_head,
 )
-from repro.pipeline import PipelineEngine, analyze_harvest_names
-from repro.pipeline.harvest import FQDN_LEAKAGE_PASS, harvest_entry_names
+from repro.dataset import fused
+from repro.dnscore.psl import PublicSuffixList
+from repro.obs import MetricsRegistry
+from repro.pipeline import PipelineEngine, analyze_harvest_sections
+from repro.pipeline.harvest import SECTIONS_PASS
+from repro.resilience import DegradedResult
 from repro.x509.ca import IssuanceRequest
+
+# CI's fault-injection job pins one pool executor per matrix leg via
+# REPRO_EXECUTOR; locally both run.
+POOL_EXECUTORS = (
+    [os.environ["REPRO_EXECUTOR"]]
+    if os.environ.get("REPRO_EXECUTOR")
+    else ["process", "thread"]
+)
+
+
+def _comparable(sections):
+    """A sections result with the matrix as plain cells (``Counter2D``
+    has no ``==``)."""
+    return {**sections, "matrix": sections["matrix"].cells()}
 
 
 @pytest.fixture()
@@ -43,25 +64,20 @@ def harvest(tmp_path, ca, fresh_logs, now):
 class TestShardedHarvestAnalysis:
     def test_parallel_reanalysis_matches_serial(self, harvest):
         path, _ = harvest
-        serial = analyze_harvest_names(path)
-        parallel = analyze_harvest_names(
+        serial = analyze_harvest_sections(path)
+        parallel = analyze_harvest_sections(
             path, PipelineEngine(workers=3, shard_size=7)
         )
-        assert parallel == serial
-        assert serial.unique_fqdns == 40  # 2 names per certificate
+        assert parallel["leakage"] == serial["leakage"]
+        assert _comparable(parallel) == _comparable(serial)
+        assert serial["leakage"].unique_fqdns == 40  # 2 names per certificate
 
     def test_harvest_still_loads_and_verifies(self, harvest):
         path, log = harvest
-        analyze_harvest_names(path, PipelineEngine(workers=2, shard_size=5))
+        analyze_harvest_sections(path, PipelineEngine(workers=2, shard_size=5))
         restored = CTLog(name=log.name, operator=log.operator, key=log.key)
         assert load_log(path, restored) == len(log.entries)
         assert restored.tree.root() == log.tree.root()
-
-    def test_entry_name_ranges_partition_the_harvest(self, harvest):
-        path, _ = harvest
-        full = harvest_entry_names(path, 0, 20)
-        pieces = [harvest_entry_names(path, i, i + 4) for i in range(0, 20, 4)]
-        assert [name for piece in pieces for name in piece] == full
 
     def test_read_tree_head(self, harvest):
         path, log = harvest
@@ -82,49 +98,94 @@ class TestHarvestCheckpoint:
     def test_resume_skips_completed_shards(self, harvest):
         path, _ = harvest
         engine = PipelineEngine(workers=2, shard_size=6)
-        first = analyze_harvest_names(path, engine, checkpoint=True)
+        first = analyze_harvest_sections(path, engine, checkpoint=True)
         sidecar = self._checkpoint_path(path)
         assert sidecar.exists()
         lines = sidecar.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 4  # header + ceil(20 / 6) shards
-        resumed = analyze_harvest_names(path, engine, checkpoint=True)
-        assert resumed == first
+        resumed = analyze_harvest_sections(path, engine, checkpoint=True)
+        assert _comparable(resumed) == _comparable(first)
         # No shard was re-recorded on resume.
         assert len(sidecar.read_text(encoding="utf-8").splitlines()) == len(lines)
+
+    def test_serial_run_resumes_a_pooled_sidecar(self, harvest):
+        path, _ = harvest
+        pooled = analyze_harvest_sections(
+            path, PipelineEngine(workers=2, shard_size=6), checkpoint=True
+        )
+        registry = MetricsRegistry()
+        serial = PipelineEngine(workers=1, shard_size=6, metrics=registry)
+        resumed = analyze_harvest_sections(path, serial, checkpoint=True)
+        # The shard plan follows shard_size, not the executor.
+        assert registry.snapshot().gauge("pipeline.checkpoint_hit_rate") == 1.0
+        assert _comparable(resumed) == _comparable(pooled)
+        assert _comparable(resumed) == _comparable(analyze_harvest_sections(path))
 
     def test_corrupted_checkpoint_raises(self, harvest):
         path, _ = harvest
         engine = PipelineEngine(workers=2, shard_size=6)
-        analyze_harvest_names(path, engine, checkpoint=True)
+        analyze_harvest_sections(path, engine, checkpoint=True)
         sidecar = self._checkpoint_path(path)
         text = sidecar.read_text(encoding="utf-8")
         sidecar.write_text(text[:-15] + "{garbled\n", encoding="utf-8")
         with pytest.raises(LogStorageError, match="corrupted shard checkpoint"):
-            analyze_harvest_names(path, engine, checkpoint=True)
+            analyze_harvest_sections(path, engine, checkpoint=True)
 
     def test_mismatched_shard_plan_rejected(self, harvest):
         path, _ = harvest
-        analyze_harvest_names(
+        analyze_harvest_sections(
             path, PipelineEngine(workers=1, shard_size=6), checkpoint=True
         )
         with pytest.raises(LogStorageError, match="does not match"):
-            analyze_harvest_names(
+            analyze_harvest_sections(
                 path, PipelineEngine(workers=1, shard_size=9), checkpoint=True
             )
+
+    def test_other_month_window_rejected(self, harvest):
+        path, _ = harvest
+        engine = PipelineEngine(workers=1, shard_size=6)
+        analyze_harvest_sections(path, engine, checkpoint=True, month="2018-04")
+        with pytest.raises(LogStorageError, match="does not match"):
+            analyze_harvest_sections(
+                path, engine, checkpoint=True, month="2018-03"
+            )
+
+    def test_other_psl_rejected(self, harvest):
+        path, _ = harvest
+        engine = PipelineEngine(workers=1, shard_size=6)
+        custom = PublicSuffixList(extra_rules=["example.org"])
+        analyze_harvest_sections(path, engine, checkpoint=True, psl=custom)
+        with pytest.raises(LogStorageError, match="does not match"):
+            analyze_harvest_sections(path, engine, checkpoint=True)
 
     def test_rewritten_harvest_invalidates_checkpoint(self, harvest, ca, now):
         path, log = harvest
         engine = PipelineEngine(workers=1, shard_size=6)
-        analyze_harvest_names(path, engine, checkpoint=True)
+        analyze_harvest_sections(path, engine, checkpoint=True)
         # Re-harvest with one more entry: same sidecar, different head.
         ca.issue(IssuanceRequest(("extra.example.org",)), [log], now)
         dump_log(log, path)
         with pytest.raises(LogStorageError, match="does not match"):
-            analyze_harvest_names(path, engine, checkpoint=True)
+            analyze_harvest_sections(path, engine, checkpoint=True)
+
+    def test_harvest_missing_entries_is_not_checkpointed(self, harvest):
+        path, _ = harvest
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(
+            "".join(lines[:5] + ["{garbled\n"] + lines[6:]), encoding="utf-8"
+        )
+        # Unchecked, the skipped line is just missing from the corpus...
+        assert analyze_harvest_sections(path)["leakage"].unique_fqdns == 38
+        # ...but shard partials bound to the tree head would cover
+        # other entries than the head does.
+        with pytest.raises(LogStorageError, match="cannot checkpoint"):
+            analyze_harvest_sections(
+                path, PipelineEngine(shard_size=6), checkpoint=True
+            )
 
     def test_malformed_shard_record_rejected(self, harvest):
         path, _ = harvest
-        checkpoint = HarvestCheckpoint.for_harvest(path, FQDN_LEAKAGE_PASS, 6)
+        checkpoint = HarvestCheckpoint.for_harvest(path, SECTIONS_PASS, 6)
         checkpoint.record(0, {"total": 1, "invalid": 0, "candidates": []})
         with checkpoint.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps({"type": "shard"}) + "\n")
@@ -133,7 +194,7 @@ class TestHarvestCheckpoint:
 
     def test_clear_removes_sidecar(self, harvest):
         path, _ = harvest
-        checkpoint = HarvestCheckpoint.for_harvest(path, FQDN_LEAKAGE_PASS, 6)
+        checkpoint = HarvestCheckpoint.for_harvest(path, SECTIONS_PASS, 6)
         checkpoint.record(0, None)
         assert checkpoint.path.exists()
         checkpoint.clear()
@@ -144,7 +205,7 @@ class TestHarvestCheckpoint:
 class TestCheckpointFaultAccounting:
     def _fresh(self, harvest):
         path, _ = harvest
-        return HarvestCheckpoint.for_harvest(path, FQDN_LEAKAGE_PASS, 6)
+        return HarvestCheckpoint.for_harvest(path, SECTIONS_PASS, 6)
 
     def test_duplicate_record_is_a_noop_first_wins(self, harvest):
         checkpoint = self._fresh(harvest)
@@ -190,10 +251,10 @@ class TestCheckpointFaultAccounting:
         path, _ = harvest
 
         def fail_shard_two(payload):
-            _, start, _ = payload
+            _, start, stop = payload
             if start == 12:  # shard 2 at shard_size=6
                 raise RuntimeError("lost shard")
-            return harvest_entry_names(*payload)
+            return list(range(start, stop))
 
         from repro.resilience import RetryPolicy, TransientLogError
 
@@ -218,3 +279,77 @@ class TestCheckpointFaultAccounting:
         assert stats["shards"] == 3
         assert stats["degraded_runs"] == 1
         assert stats["degraded_indices"] == [2]
+
+
+@pytest.fixture()
+def duplicated_harvest(tmp_path):
+    """12 entries, entry 3's line written twice (a resumed writer)."""
+    path = tmp_path / "dup.jsonl"
+    dump_log(cli._seeded_ct_log(1, 12), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:4] + [lines[3]] + lines[4:]), encoding="utf-8")
+    return path
+
+
+class TestDuplicatedRecordHarvest:
+    """A repeated entry line counts once, checkpointed or not.
+
+    A reader that takes entries [0, 12) by line position instead of by
+    index loses entry 11 here: ``seed11`` goes missing (11 unique
+    FQDNs).
+    """
+
+    @pytest.mark.parametrize("executor", ["serial", *POOL_EXECUTORS])
+    def test_checkpointed_run_equals_unchecked(self, duplicated_harvest, executor):
+        unchecked = analyze_harvest_sections(duplicated_harvest)
+        engine = PipelineEngine(workers=2, shard_size=5, executor=executor)
+        checkpointed = analyze_harvest_sections(
+            duplicated_harvest, engine, checkpoint=True
+        )
+        assert _comparable(checkpointed) == _comparable(unchecked)
+        assert checkpointed["leakage"].unique_fqdns == 12
+        assert "seed11" in checkpointed["leakage"].label_counts
+        resumed = analyze_harvest_sections(
+            duplicated_harvest, engine, checkpoint=True
+        )
+        assert _comparable(resumed) == _comparable(unchecked)
+
+
+class TestDegradeThenResume:
+    def test_resume_reruns_exactly_the_lost_shards(self, harvest, monkeypatch):
+        path, _ = harvest  # 20 entries -> 4 shards of 5
+        ran = []
+        real_task = fused.fused_shard_task
+
+        def losing_task(payload):
+            if payload[1].start in (5, 15):  # shards 1 and 3
+                raise RuntimeError("lost shard")
+            return real_task(payload)
+
+        def spying_task(payload):
+            ran.append(payload[1].start // 5)
+            return real_task(payload)
+
+        engine = PipelineEngine(workers=1, shard_size=5, on_error="degrade")
+        monkeypatch.setattr(fused, "fused_shard_task", losing_task)
+        outcome = analyze_harvest_sections(path, engine, checkpoint=True)
+        assert isinstance(outcome, DegradedResult)
+        assert outcome.report.failed_indices == [1, 3]
+        sidecar = path.with_name(path.name + ".checkpoint")
+        records = [
+            json.loads(line)
+            for line in sidecar.read_text(encoding="utf-8").splitlines()[1:]
+        ]
+        assert [r["index"] for r in records if r["type"] == "shard"] == [0, 2]
+        assert [r["indices"] for r in records if r["type"] == "degraded"] == [
+            [1, 3]
+        ]
+
+        monkeypatch.setattr(fused, "fused_shard_task", spying_task)
+        resumed = analyze_harvest_sections(path, engine, checkpoint=True)
+        assert ran == [1, 3]
+        assert resumed.report.ok
+        monkeypatch.undo()
+        assert _comparable(resumed.value) == _comparable(
+            analyze_harvest_sections(path)
+        )

@@ -7,6 +7,7 @@ and the obs counters prove each shard was walked exactly once for all
 passes together.
 """
 
+import json
 import os
 import pickle
 from datetime import date
@@ -32,6 +33,7 @@ from repro.obs import MetricsRegistry
 from repro.pipeline import (
     PipelineEngine,
     analyze_harvest_sections,
+    analyze_log_sections,
     evolution_sections,
 )
 from repro.pipeline.shard import plan_sequence_shards
@@ -206,3 +208,29 @@ class TestHarvestSections:
         assert streamed["rates"] == in_memory["rates"]
         assert streamed["matrix"].cells() == in_memory["matrix"].cells()
         assert streamed["leakage"] == in_memory["leakage"]
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_checkpointed_harvest_and_live_log_match_in_memory(
+        self, logs, tmp_path, executor
+    ):
+        name = next(iter(logs))
+        path = tmp_path / "harvest.jsonl"
+        dump_log(logs[name], path)
+        engine = PipelineEngine(workers=3, shard_size=256, executor=executor)
+        in_memory = analyze_corpus(
+            CertCorpus.from_logs([logs[name]]), sections_graph(), engine
+        )
+        cold = analyze_harvest_sections(path, engine, checkpoint=True)
+        resumed = analyze_harvest_sections(path, engine, checkpoint=True)
+        live = analyze_log_sections(logs[name], engine)
+        for result in (cold, resumed, live):
+            _assert_sections_match(result, in_memory)
+
+
+class TestPartialCodecs:
+    def test_sections_partials_survive_json(self, corpus, reference):
+        graph = sections_graph()
+        result = graph.run_shard(corpus.iter_records())
+        payload = json.loads(json.dumps(graph.encode_shard(result)))
+        decoded = graph.reduce([graph.decode_shard(payload).partials])
+        _assert_sections_match(decoded, reference)

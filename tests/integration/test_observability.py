@@ -11,13 +11,13 @@ stay bit-identical to the uninstrumented run.
 
 import pytest
 
-from repro.core import leakage
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
 from repro.ct.storage import HarvestCheckpoint
+from repro.dataset import fused_shard_task, sections_graph
 from repro.obs import MetricsRegistry, MetricsSnapshot, SpanTracer
-from repro.pipeline import PipelineEngine, analyze_log_names
-from repro.pipeline.harvest import _log_leakage_task, log_entry_names
+from repro.pipeline import PipelineEngine, analyze_log_sections
+from repro.pipeline.harvest import LogWindow
 from repro.resilience import DegradedResult, FlakyLog, RetryPolicy
 from repro.util.rng import SeededRng
 from repro.util.timeutil import utc_datetime
@@ -42,7 +42,9 @@ def fault_log():
 
 @pytest.fixture(scope="module")
 def fault_free(fault_log):
-    return analyze_log_names(fault_log, PipelineEngine(workers=1, shard_size=SHARD_SIZE))
+    return analyze_log_sections(
+        fault_log, PipelineEngine(workers=1, shard_size=SHARD_SIZE)
+    )["leakage"]
 
 
 def _flaky(log, seed=8):
@@ -60,11 +62,18 @@ def _fail_tail(method, args):
     return method == "get_entries" and args[0] >= 32
 
 
+GRAPH = sections_graph()
+
+
 def _shard_tasks(log):
     return [
-        (log, start, min(start + SHARD_SIZE, log.size))
+        (GRAPH, LogWindow(log, start, min(start + SHARD_SIZE, log.size)))
         for start in range(0, log.size, SHARD_SIZE)
     ]
+
+
+def _leakage(shard_results):
+    return GRAPH.reduce([result.partials for result in shard_results])["leakage"]
 
 
 class TestSerialParallelCounterParity:
@@ -75,7 +84,7 @@ class TestSerialParallelCounterParity:
         engine = PipelineEngine(
             workers=1, shard_size=SHARD_SIZE, metrics=registry
         )
-        assert analyze_log_names(fault_log, engine) == fault_free
+        assert analyze_log_sections(fault_log, engine)["leakage"] == fault_free
         snap = registry.snapshot()
         assert snap.counter("pipeline.shards_planned") == 6
         assert snap.counter("pipeline.shards_completed") == 6
@@ -94,7 +103,7 @@ class TestSerialParallelCounterParity:
             tracer=SpanTracer(),
         )
         flaky = _flaky(fault_log)
-        result = analyze_log_names(flaky, engine)
+        result = analyze_log_sections(flaky, engine)["leakage"]
         assert result == fault_free  # faults + retries change no bytes
         assert flaky.faults_injected > 0
         snap = registry.snapshot()
@@ -139,7 +148,7 @@ class TestDegradedRunMetrics:
             failure_rate=0.0,
             fail_when=_fail_tail,
         )
-        outcome = analyze_log_names(flaky, engine)
+        outcome = analyze_log_sections(flaky, engine)
         assert isinstance(outcome, DegradedResult)
         assert outcome.report.failed_indices == [4, 5]
 
@@ -184,13 +193,13 @@ class TestCheckpointAccounting:
             metrics=registry,
         )
         partials = engine.map(
-            _log_leakage_task,
+            fused_shard_task,
             _shard_tasks(_flaky(fault_log)),
             checkpoint=store,
-            encode=leakage.encode_leakage_partial,
-            decode=leakage.decode_leakage_partial,
+            encode=GRAPH.encode_shard,
+            decode=GRAPH.decode_shard,
         )
-        assert leakage.reduce_name_partials(list(partials)) == fault_free
+        assert _leakage(partials) == fault_free
 
         snap = registry.snapshot()
         stats = store.fault_stats()
@@ -207,11 +216,11 @@ class TestCheckpointAccounting:
         engine = PipelineEngine(workers=1, shard_size=SHARD_SIZE, metrics=first)
         tasks = _shard_tasks(fault_log)
         engine.map(
-            _log_leakage_task,
+            fused_shard_task,
             tasks,
             checkpoint=store,
-            encode=leakage.encode_leakage_partial,
-            decode=leakage.decode_leakage_partial,
+            encode=GRAPH.encode_shard,
+            decode=GRAPH.decode_shard,
         )
         assert first.snapshot().gauge("pipeline.checkpoint_hit_rate") == 0.0
 
@@ -221,13 +230,13 @@ class TestCheckpointAccounting:
             workers=1, shard_size=SHARD_SIZE, metrics=second
         )
         partials = resumed_engine.map(
-            _log_leakage_task,
+            fused_shard_task,
             tasks,
             checkpoint=resumed_store,
-            encode=leakage.encode_leakage_partial,
-            decode=leakage.decode_leakage_partial,
+            encode=GRAPH.encode_shard,
+            decode=GRAPH.decode_shard,
         )
-        assert leakage.reduce_name_partials(list(partials)) == fault_free
+        assert _leakage(partials) == fault_free
         snap = second.snapshot()
         assert snap.counter("pipeline.shards_resumed") == 6
         assert snap.gauge("pipeline.checkpoint_hit_rate") == 1.0

@@ -54,13 +54,17 @@ class RecordingCheckpoint:
     def __init__(self, initial=None):
         self.store = dict(initial or {})
         self.recorded = []
+        self.degraded = []
 
     def completed(self):
         return dict(self.store)
 
-    def record(self, index, payload):
+    def record(self, index, payload, *, attempts=1):
         self.recorded.append(index)
         self.store[index] = payload
+
+    def record_degraded(self, report):
+        self.degraded.append(report)
 
 
 TASKS = [[1, 2], [3, 4], [5], [6, 7, 8]]
@@ -219,6 +223,7 @@ class TestDegradedRuns:
         engine = PipelineEngine(workers=1, on_error="degrade")
         engine.map(fail_singletons, TASKS, checkpoint=checkpoint)
         assert sorted(checkpoint.recorded) == [0, 1, 3]
+        assert [r.failed_indices for r in checkpoint.degraded] == [[2]]
 
     def test_degrade_counts_retries_of_recovered_shards(self):
         engine = PipelineEngine(

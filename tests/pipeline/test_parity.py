@@ -21,12 +21,11 @@ from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
 from repro.pipeline import (
     PipelineEngine,
-    analyze_log_names,
+    analyze_log_sections,
     evolution_sections,
     leakage_names,
     traffic_adoption,
 )
-from repro.pipeline.harvest import log_entry_names
 from repro.resilience import (
     DegradedResult,
     FlakyLog,
@@ -187,9 +186,9 @@ class TestFaultInjectionParity:
 
     @pytest.fixture(scope="class")
     def fault_free(self, fault_log):
-        return analyze_log_names(
+        return analyze_log_sections(
             fault_log, PipelineEngine(workers=1, shard_size=8)
-        )
+        )["leakage"]
 
     @pytest.mark.parametrize("executor", FAULT_EXECUTORS)
     def test_flaky_run_matches_fault_free_serial(
@@ -198,7 +197,7 @@ class TestFaultInjectionParity:
         engine = PipelineEngine(
             workers=3, shard_size=8, executor=executor, retry=_retries(3)
         )
-        result = analyze_log_names(_flaky(fault_log), engine)
+        result = analyze_log_sections(_flaky(fault_log), engine)["leakage"]
         assert result == fault_free
         assert result.top_labels(10) == fault_free.top_labels(10)
         assert (
@@ -212,11 +211,11 @@ class TestFaultInjectionParity:
         # counters stay observable.
         first = _flaky(fault_log)
         engine = PipelineEngine(workers=1, shard_size=8, retry=_retries(3))
-        assert analyze_log_names(first, engine) == fault_free
+        assert analyze_log_sections(first, engine)["leakage"] == fault_free
         assert first.faults_injected > 0
 
         second = _flaky(fault_log)
-        assert analyze_log_names(second, engine) == fault_free
+        assert analyze_log_sections(second, engine)["leakage"] == fault_free
         assert second.faults_injected == first.faults_injected
 
     def test_without_retries_faults_surface_as_shard_failures(self, fault_log):
@@ -229,7 +228,7 @@ class TestFaultInjectionParity:
         )
         engine = PipelineEngine(workers=1, shard_size=8)
         with pytest.raises(ShardFailedError) as excinfo:
-            analyze_log_names(flaky, engine)
+            analyze_log_sections(flaky, engine)
         assert excinfo.value.index == 0
         assert excinfo.value.attempts == 1
 
@@ -255,7 +254,7 @@ class TestDegradedHarvest:
             retry=_retries(1),
             on_error="degrade",
         )
-        outcome = analyze_log_names(flaky, engine)
+        outcome = analyze_log_sections(flaky, engine)
         assert isinstance(outcome, DegradedResult)
         assert outcome.report.failed_indices == [4, 5]
         assert outcome.report.total_shards == 6
@@ -263,9 +262,11 @@ class TestDegradedHarvest:
         # The partial result is the exact analysis of the surviving
         # entry range [0, 32).
         surviving = leakage.analyze_names(
-            log_entry_names(fault_log, 0, 32)
+            name
+            for entry in fault_log.get_entries(0, 31)
+            for name in entry.certificate.dns_names()
         )
-        assert outcome.value == surviving
+        assert outcome.value["leakage"] == surviving
 
     def test_raise_mode_names_the_first_failed_shard(self, fault_log):
         flaky = FlakyLog(
@@ -276,7 +277,7 @@ class TestDegradedHarvest:
         )
         engine = PipelineEngine(workers=1, shard_size=8, retry=_retries(1))
         with pytest.raises(ShardFailedError) as excinfo:
-            analyze_log_names(flaky, engine)
+            analyze_log_sections(flaky, engine)
         assert excinfo.value.index == 4
         assert excinfo.value.attempts == 2
 
