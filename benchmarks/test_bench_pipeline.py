@@ -2,7 +2,8 @@
 
 Times the Table 2 FQDN pass (the heaviest per-item work) serially, on
 a 4-worker process pool, and on the same pool with metrics/span
-instrumentation attached, at the benchmark's elevated scale.  All
+instrumentation attached, at the benchmark's elevated scale, each as
+the best of ``REPEATS`` interleaved runs.  All
 three outputs must be identical; the instrumented run must stay
 within ``OVERHEAD_CEILING`` of the bare parallel run.  The >= 2x
 speedup bar (and the overhead bar) only applies where the hardware
@@ -27,7 +28,7 @@ OVERHEAD_CEILING = 0.05
 #: Below the smallest of the full-mode 2-worker runs measured on a
 #: 2-vCPU host (see CHANGES.md).
 TWO_WORKER_SPEEDUP = 1.15
-TWO_WORKER_REPEATS = 3
+REPEATS = 3
 
 
 def _timed(fn):
@@ -39,33 +40,38 @@ def _timed(fn):
 def test_bench_pipeline_table2(domain_corpus, request):
     names = domain_corpus.ct_fqdns
     psl = domain_corpus.psl
-
-    serial_stats, serial_seconds = _timed(
-        lambda: leakage.analyze_names(names, psl)
-    )
     shard_size = max(1, len(names) // (BENCH_WORKERS * 4))
     engine = PipelineEngine(workers=BENCH_WORKERS, shard_size=shard_size)
-    parallel_stats, parallel_seconds = _timed(
-        lambda: leakage_names(names, engine, psl)
-    )
+    smoke = request.config.getoption("--benchmark-disable", default=False)
 
-    registry = MetricsRegistry()
-    instrumented = PipelineEngine(
-        workers=BENCH_WORKERS,
-        shard_size=shard_size,
-        metrics=registry,
-        tracer=SpanTracer(),
-    )
-    instrumented_stats, instrumented_seconds = _timed(
-        lambda: leakage_names(names, instrumented, psl)
-    )
+    # CPU-bound work only gets slower under noise, so the best of
+    # REPEATS interleaved runs per side is the estimate.
+    serial_runs, parallel_runs, instrumented_runs = [], [], []
+    for _ in range(1 if smoke else REPEATS):
+        serial_stats, seconds = _timed(lambda: leakage.analyze_names(names, psl))
+        serial_runs.append(seconds)
+        parallel_stats, seconds = _timed(lambda: leakage_names(names, engine, psl))
+        parallel_runs.append(seconds)
+        registry = MetricsRegistry()
+        instrumented = PipelineEngine(
+            workers=BENCH_WORKERS,
+            shard_size=shard_size,
+            metrics=registry,
+            tracer=SpanTracer(),
+        )
+        instrumented_stats, seconds = _timed(
+            lambda: leakage_names(names, instrumented, psl)
+        )
+        instrumented_runs.append(seconds)
+        # The point of the exercise: sharding must not change a single
+        # bit — and neither must turning the instrumentation on.
+        assert parallel_stats == serial_stats
+        assert parallel_stats.top_labels(20) == serial_stats.top_labels(20)
+        assert instrumented_stats == serial_stats
+    serial_seconds = min(serial_runs)
+    parallel_seconds = min(parallel_runs)
+    instrumented_seconds = min(instrumented_runs)
     snapshot = registry.snapshot()
-
-    # The point of the exercise: sharding must not change a single bit —
-    # and neither must turning the instrumentation on.
-    assert parallel_stats == serial_stats
-    assert parallel_stats.top_labels(20) == serial_stats.top_labels(20)
-    assert instrumented_stats == serial_stats
     assert snapshot.counter("pipeline.shards_completed") == snapshot.counter(
         "pipeline.shards_planned"
     )
@@ -79,7 +85,7 @@ def test_bench_pipeline_table2(domain_corpus, request):
     lines = [
         "Pipeline throughput — Table 2 FQDN pass "
         f"(scale 1:{int(1 / DOMAIN_SCALE)}, {len(names)} names, "
-        f"{os.cpu_count()} CPUs)",
+        f"{os.cpu_count()} CPUs, best of {len(serial_runs)})",
         f"  serial            {serial_seconds:8.3f} s   "
         f"{len(names) / serial_seconds:10.0f} names/s",
         f"  {BENCH_WORKERS} workers         {parallel_seconds:8.3f} s   "
@@ -105,7 +111,6 @@ def test_bench_pipeline_table2(domain_corpus, request):
         },
     )
 
-    smoke = request.config.getoption("--benchmark-disable", default=False)
     cpus = os.cpu_count() or 1
     if cpus >= BENCH_WORKERS and not smoke:
         assert speedup >= SPEEDUP_TARGET, (
@@ -123,10 +128,8 @@ def test_bench_pipeline_table2_two_workers(domain_corpus, request):
     psl = domain_corpus.psl
     engine = PipelineEngine(workers=2, shard_size=max(1, len(names) // 8))
     smoke = request.config.getoption("--benchmark-disable", default=False)
-    # CPU-bound work only gets slower under noise, so the best of
-    # TWO_WORKER_REPEATS interleaved runs per side is the estimate.
     serial_runs, parallel_runs = [], []
-    for _ in range(1 if smoke else TWO_WORKER_REPEATS):
+    for _ in range(1 if smoke else REPEATS):
         serial_stats, seconds = _timed(lambda: leakage.analyze_names(names, psl))
         serial_runs.append(seconds)
         parallel_stats, seconds = _timed(lambda: leakage_names(names, engine, psl))

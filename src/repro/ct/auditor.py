@@ -34,7 +34,7 @@ from repro.ct.sct import (
     x509_signing_input,
     SctEntryType,
 )
-from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.events import NULL_EVENTS, EventLog, record
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.timeutil import from_timestamp_ms
 from repro.x509.certificate import Certificate
@@ -57,12 +57,12 @@ class AuditFinding:
 def record_finding(
     finding: AuditFinding, metrics: MetricsRegistry, events: EventLog
 ) -> None:
-    """The one obs record of a finding, whoever made it: the
-    ``auditor.findings{log=,kind=}`` counter and an ``audit_finding``
-    event."""
-    log, kind = finding.log_name, finding.kind
-    metrics.inc("auditor.findings", log=log, kind=kind)
-    events.emit("audit_finding", log=log, finding=kind, detail=finding.detail)
+    """The one obs record of a finding, whoever made it: an
+    ``audit_finding`` event, counted as ``auditor.findings{log=,kind=}``."""
+    record(
+        metrics, events, "audit_finding",
+        log=finding.log_name, finding=finding.kind, detail=finding.detail,
+    )
 
 
 def check_sth(

@@ -77,7 +77,7 @@ from repro.ct.merkle import (
     verify_inclusion_proof,
 )
 from repro.ct.server import LogClient, page_entries
-from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.events import NULL_EVENTS, EventLog, record
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.util.rng import SeededRng
@@ -321,30 +321,19 @@ class LogObservation:
 
 @dataclass(frozen=True)
 class TailNames:
-    """The event and counter names one kind of log tailer writes.
-
-    They are part of the event-replay contract
-    (:func:`repro.obs.events.replay_counters`), so a consumer picks one
-    of the two constants below rather than naming its own.
-    """
+    """The event and fetch-latency histogram one kind of log tailer
+    writes; the event's counters are :data:`repro.obs.events.
+    EVENT_COUNTERS`'s, so a consumer picks one of the two constants
+    below rather than naming its own."""
 
     event: str
-    entries: str
-    errors: str
-    retries: str
     fetch_seconds: str
 
 
 #: :class:`~repro.ct.feed.CertFeed`'s names, labelled ``log=``.
-FEED_TAIL = TailNames(
-    "feed_poll", "feed.entries", "feed.poll_errors", "feed.poll_retries",
-    "feed.fetch_seconds",
-)
+FEED_TAIL = TailNames("feed_poll", "feed.fetch_seconds")
 #: The replay monitors' names, labelled ``monitor=, log=``.
-MONITOR_TAIL = TailNames(
-    "monitor_fetch", "monitor.entries", "monitor.errors", "monitor.retries",
-    "monitor.fetch_seconds",
-)
+MONITOR_TAIL = TailNames("monitor_fetch", "monitor.fetch_seconds")
 
 _HEALTH_KEYS = (
     "cursor", "entries", "errors", "retries", "successes",
@@ -364,9 +353,9 @@ class LogTail:
     skipped.  A failed ``get-sth`` over HTTP, or a page
     :func:`~repro.ct.server.page_entries` rejects, counts the same way.
 
-    Every fetch records the ``names`` counters into ``metrics`` and one
-    ``names.event`` event into ``events``, labelled with ``labels``
-    plus ``log=``.
+    Every fetch is recorded as one ``names.event`` event (with the
+    counters it moves) and, when it worked, one ``names.fetch_seconds``
+    observation, labelled with ``labels`` plus ``log=``.
     """
 
     def __init__(
@@ -423,16 +412,14 @@ class LogTail:
         stats["retries"] += retried
         self._stats[name] = stats
         labels = dict(self.labels, log=name)
-        if entries is None:
-            self.metrics.inc(self.names.errors, **labels)
-        else:
+        if entries is not None:
             self.metrics.observe(
                 self.names.fetch_seconds, time.perf_counter() - started, **labels
             )
-            self.metrics.inc(self.names.entries, len(entries), **labels)
-        if retried:
-            self.metrics.inc(self.names.retries, retried, **labels)
-        self.events.emit(self.names.event, **labels, **fields, retried=retried)
+        record(
+            self.metrics, self.events, self.names.event,
+            **labels, **fields, retried=retried,
+        )
         return entries or []
 
     def log_health(self) -> Dict[str, Dict[str, int]]:
@@ -606,13 +593,10 @@ class LightweightMonitor:
     nothing is skipped past); matching entries become
     :class:`LogObservation` rows like every other monitor's.
 
-    Obs surface: per successful poll one ``lightweight_poll`` event
-    plus ``monitor.wire_entries`` / ``monitor.wire_bytes`` /
-    ``monitor.matches`` counters, all from one per-poll delta of the
-    transport's ``stats()`` (the transport holds the cumulative wire
-    ledger); findings emit ``audit_finding`` events and
-    ``auditor.findings{log=,kind=}`` counters, the same family
-    :class:`~repro.ct.auditor.LogAuditor` reports into.  With a
+    Obs surface: each poll that accepts a tree head is recorded as one
+    ``lightweight_poll`` event, its wire fields a per-poll delta of the
+    transport's ``stats()``; each finding as one ``audit_finding``
+    event, as :class:`~repro.ct.auditor.LogAuditor`'s are.  With a
     ``tracer``, each poll runs under a ``monitor.poll`` client root
     span with one ``monitor.match`` child per matched entry (carrying
     the claimed domains) — the detection end of the certificate
@@ -791,22 +775,15 @@ class LightweightMonitor:
         after = transport.stats()
         entries = after["entries"] - before["entries"]
         moved = after["bytes"] - before["bytes"]
-        labels = {"monitor": self.name, "log": name}
-        self.metrics.inc("monitor.wire_entries", entries, **labels)
-        self.metrics.inc("monitor.wire_bytes", moved, **labels)
-        self.metrics.inc("monitor.matches", len(observations), **labels)
         self.metrics.set_gauge(
-            "monitor.verified_tree_size", sth.tree_size, **labels
+            "monitor.verified_tree_size", sth.tree_size,
+            monitor=self.name, log=name,
         )
-        self.events.emit(
-            "lightweight_poll",
-            monitor=self.name,
-            log=name,
-            tree_size=sth.tree_size,
-            cursor=self._cursors.get(name, 0),
-            matches=len(observations),
-            wire_entries=entries,
-            wire_bytes=moved,
+        record(
+            self.metrics, self.events, "lightweight_poll",
+            monitor=self.name, log=name, tree_size=sth.tree_size,
+            cursor=self._cursors.get(name, 0), matches=len(observations),
+            wire_entries=entries, wire_bytes=moved,
             ok=len(self.findings) == findings_before,
         )
         return observations

@@ -63,7 +63,7 @@ from repro.ct.sct import (
     precert_signing_input,
     x509_signing_input,
 )
-from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.events import NULL_EVENTS, EventLog, record
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.obs.tracectx import TraceContext
@@ -518,8 +518,6 @@ class LogSequencer:
         tree_size: int,
     ) -> None:
         name = self.log.name
-        self._metrics.inc("sequencer.merges", log=name)
-        self._metrics.inc("sequencer.entries_merged", len(batch), log=name)
         self._metrics.observe(
             "sequencer.merge_batch_size",
             len(batch),
@@ -528,11 +526,9 @@ class LogSequencer:
         )
         self._metrics.observe("sequencer.merge_lag_seconds", lag_s, log=name)
         self._metrics.set_gauge("sequencer.pending_depth", depth, log=name)
-        self._events.emit(
-            "sequencer_merge",
-            log=name,
-            batch=len(batch),
-            tree_size=tree_size,
+        record(
+            self._metrics, self._events, "sequencer_merge",
+            log=name, batch=len(batch), tree_size=tree_size,
             max_lag_ms=round(lag_s * 1e3, 3),
         )
 

@@ -42,10 +42,9 @@ the Merkle tree, publishing one STH per merge.  A pre-built
 
 Telemetry: with a :class:`~repro.obs.metrics.MetricsRegistry` /
 :class:`~repro.obs.events.EventLog` attached, every request records a
-per-endpoint latency histogram (``log_server.request_seconds``), a
-per-endpoint/status counter (``log_server.responses``), memo hit/miss
-counters (``log_server.memo_hits`` / ``log_server.memo_misses``), and
-a ``log_server_request`` event — the same obs layer the feed and the
+per-endpoint latency histogram (``log_server.request_seconds``) and
+one ``log_server_request`` event, which moves the per-endpoint/status
+``log_server.responses`` counter — the same obs layer the feed and the
 pipeline already report through.
 
 :class:`LogClient` is the matching stdlib client (used by the load
@@ -101,7 +100,7 @@ from repro.ct.storage import (
     entry_from_record,
     entry_record,
 )
-from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.events import NULL_EVENTS, EventLog, record
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.obs.tracectx import TRACEPARENT_HEADER, TraceContext
@@ -553,6 +552,7 @@ class LogServer:
         body: bytes,
         client: str = "",
     ) -> Tuple[int, Dict[str, object], str]:
+        """Answer one request and record it: histogram plus one event."""
         endpoint = "unknown"
         slug = "-"
         started = time.perf_counter()
@@ -561,77 +561,48 @@ class LogServer:
                 endpoint = "index"
                 if method != "GET":
                     raise HttpApiError(405, "index is GET-only")
-                return self._finish(200, self._index_body(), endpoint, slug, started)
-            served, endpoint = self._resolve(path)
-            slug = served.slug
-            params = parse_qs(query)
-            if endpoint == "add-pre-chain":
-                if method != "POST":
-                    raise HttpApiError(405, "add-pre-chain requires POST")
-                # Submissions always land on the honest log: the
-                # split-view attack is about diverging *reads*.
-                status, payload = self._add_pre_chain(served, body)
-            elif method != "GET":
-                raise HttpApiError(405, f"{endpoint} requires GET")
+                status, payload = 200, self._index_body()
             else:
-                served = served.select(client)
-                if endpoint == "get-sth":
-                    status, payload = self._get_sth(served)
-                elif endpoint == "get-entries":
-                    status, payload = self._get_entries(served, params)
-                elif endpoint == "get-proof-by-hash":
-                    status, payload = self._get_proof_by_hash(served, params)
-                elif endpoint == "get-sth-consistency":
-                    status, payload = self._get_consistency(served, params)
-                elif endpoint == "get-batch-digest":
-                    status, payload = self._get_batch_digest(served, params)
+                served, endpoint = self._resolve(path)
+                slug = served.slug
+                params = parse_qs(query)
+                if endpoint == "add-pre-chain":
+                    if method != "POST":
+                        raise HttpApiError(405, "add-pre-chain requires POST")
+                    # Submissions always land on the honest log: the
+                    # split-view attack is about diverging *reads*.
+                    status, payload = self._add_pre_chain(served, body)
+                elif method != "GET":
+                    raise HttpApiError(405, f"{endpoint} requires GET")
                 else:
-                    raise HttpApiError(404, f"unknown endpoint {endpoint!r}")
-            return self._finish(status, payload, endpoint, slug, started)
+                    served = served.select(client)
+                    if endpoint == "get-sth":
+                        status, payload = self._get_sth(served)
+                    elif endpoint == "get-entries":
+                        status, payload = self._get_entries(served, params)
+                    elif endpoint == "get-proof-by-hash":
+                        status, payload = self._get_proof_by_hash(served, params)
+                    elif endpoint == "get-sth-consistency":
+                        status, payload = self._get_consistency(served, params)
+                    elif endpoint == "get-batch-digest":
+                        status, payload = self._get_batch_digest(served, params)
+                    else:
+                        raise HttpApiError(404, f"unknown endpoint {endpoint!r}")
         except HttpApiError as exc:
-            return self._finish(
-                exc.status,
-                {"error": exc.message, "code": exc.status},
-                endpoint,
-                slug,
-                started,
-            )
+            status, payload = exc.status, {"error": exc.message, "code": exc.status}
         except LogOverloadedError as exc:
-            return self._finish(
-                429, {"error": str(exc), "code": 429}, endpoint, slug, started
-            )
+            status, payload = 429, {"error": str(exc), "code": 429}
         except LogDisqualifiedError as exc:
-            return self._finish(
-                410, {"error": str(exc), "code": 410}, endpoint, slug, started
-            )
+            status, payload = 410, {"error": str(exc), "code": 410}
         except Exception as exc:  # defensive: never a bare 500 page
-            return self._finish(
-                500,
-                {"error": f"internal error: {exc!r}", "code": 500},
-                endpoint,
-                slug,
-                started,
-            )
-
-    def _finish(
-        self,
-        status: int,
-        payload: Dict[str, object],
-        endpoint: str,
-        slug: str,
-        started: float,
-    ) -> Tuple[int, Dict[str, object], str]:
-        """Request-logging middleware: histogram + counter + event."""
+            status, payload = 500, {"error": f"internal error: {exc!r}", "code": 500}
         duration = time.perf_counter() - started
         self._metrics.observe(
             "log_server.request_seconds", duration, endpoint=endpoint
         )
-        self._metrics.inc("log_server.responses", endpoint=endpoint, status=status)
-        self._events.emit(
-            "log_server_request",
-            endpoint=endpoint,
-            status=status,
-            log=slug,
+        record(
+            self._metrics, self._events, "log_server_request",
+            endpoint=endpoint, status=status, log=slug,
             duration_ms=round(duration * 1e3, 3),
         )
         return status, payload, endpoint

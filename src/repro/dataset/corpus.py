@@ -304,9 +304,13 @@ class CertCorpus:
     ``month`` / ``serial`` / ``is_precert`` attributes are lazy
     decoding views that still support ``len`` / iteration / indexing /
     slicing like the tuples they replaced.
+
+    ``tree_head`` is the harvest trailer a :meth:`from_stored` corpus
+    was read with (``None`` for any other corpus, and after pickling).
     """
 
     __slots__ = (
+        "tree_head",
         "_issuers",
         "_logs",
         "_days",
@@ -356,6 +360,7 @@ class CertCorpus:
         self._precert_bits: "array[int]" = array("B")
         self._names: List[Tuple[str, ...]] = []
         self._month_memo: Dict[Tuple[int, int], int] = {}
+        self.tree_head: Optional[Dict[str, Any]] = None
         for row in zip(
             issuer_org, serial, day, log_name, month, is_precert, names
         ):
@@ -403,9 +408,10 @@ class CertCorpus:
         """Stream the corpus from a ``ct.storage`` JSON-lines harvest.
 
         Entry records are folded straight into the columns (no
-        intermediate entry list); the log name is taken from the
-        tree-head trailer.  Corrupt trailing lines are skipped with a
-        counter (see :func:`repro.ct.storage.iter_stored_entries`) and
+        intermediate entry list); the tree-head trailer names the log
+        and is kept as :attr:`tree_head`.  Corrupt trailing lines are
+        skipped with a counter (see
+        :func:`repro.ct.storage.iter_stored_entries`) and
         duplicate entry indices are dropped first-record-wins, counted
         into ``metrics`` as ``dataset.duplicate_entries_skipped``.
         """
@@ -415,11 +421,10 @@ class CertCorpus:
         corpus = cls.empty()
         seen_indices: Set[object] = set()
         duplicates = 0
-        log_name = ""
         for record in iter_stored_entries(path, metrics=metrics):
             rtype = record.get("type")
             if rtype == "tree-head":
-                log_name = str(record.get("name", ""))
+                corpus.tree_head = record
                 continue
             if rtype != "entry":
                 continue
@@ -430,7 +435,8 @@ class CertCorpus:
             seen_indices.add(entry.index)
             # The log name is patched below once the trailer names it.
             entry_row(corpus._append_encoded, "", entry, with_names)
-        corpus._rename_all_logs(log_name)
+        if corpus.tree_head is not None:
+            corpus._rename_all_logs(str(corpus.tree_head.get("name", "")))
         if duplicates:
             metrics.inc("dataset.duplicate_entries_skipped", duplicates)
         _record_build_metrics(corpus, time.perf_counter() - started, metrics)

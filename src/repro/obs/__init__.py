@@ -26,10 +26,11 @@ dependency-free and deterministic where it matters:
   loops;
 * :mod:`repro.obs.events` — :class:`EventLog`, a structured JSONL
   event stream (run/shard lifecycle, per-log fetch outcomes) with
-  per-run correlation IDs, :func:`replay_counters` to fold the stream
-  back into the counters it mirrors, and
-  :class:`SnapshotDeltaFlusher` for interval-based live counter
-  deltas;
+  per-run correlation IDs, :func:`record` (one call per operation:
+  its event, and the counters :data:`EVENT_COUNTERS` derives from it),
+  :func:`replay_counters` to fold the stream back into those
+  counters, and :class:`SnapshotDeltaFlusher` for interval-based live
+  counter deltas;
 * :mod:`repro.obs.health` — the per-log SLO engine:
   :func:`evaluate_stats` folds fetch counters into
   ``healthy|degraded|failing`` verdicts under an :class:`SloPolicy`.
@@ -54,6 +55,7 @@ artifact), and the benchmark harness (JSON sidecars).
 """
 
 from repro.obs.events import (
+    EVENT_COUNTERS,
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
     NULL_EVENTS,
@@ -62,6 +64,7 @@ from repro.obs.events import (
     counter_delta,
     new_run_id,
     read_events,
+    record,
     replay_counters,
 )
 from repro.obs.export import (
@@ -113,6 +116,7 @@ __all__ = [
     "COUNT_BOUNDS",
     "DEFAULT_POLICY",
     "DEFAULT_TIME_BOUNDS",
+    "EVENT_COUNTERS",
     "EVENT_KINDS",
     "EVENT_SCHEMA_VERSION",
     "EXPOSITION_CONTENT_TYPE",
@@ -154,6 +158,7 @@ __all__ = [
     "parse_exposition",
     "prometheus_name",
     "read_events",
+    "record",
     "render_lifecycles",
     "render_prometheus",
     "replay_counters",

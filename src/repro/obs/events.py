@@ -16,13 +16,15 @@ torn tails; ``run`` correlates every event of one process/run.  Kind
 names and their fields are a stable schema (documented in
 docs/API.md); the emitting layers are the pipeline engine (run/shard
 lifecycle, retries, degradation, checkpoint resume), the feed and the
-monitors (per-log fetch outcomes), and the STH auditor.
+monitors (per-log fetch outcomes), the STH auditor, the log server
+(one event per request) and the sequencer (one per merge).
 
-:func:`replay_counters` folds a stream of events back into the metric
-counters the instrumented layers record, keyed exactly like
-:func:`repro.obs.metrics.metric_key` — the event log and the final
-:class:`~repro.obs.metrics.MetricsSnapshot` are two views of the same
-run, and the replay is how tests prove they agree.
+An operation that moves counters is recorded once, by :func:`record`:
+it emits the operation's event and moves the counters that
+:data:`EVENT_COUNTERS` derives from that event.  :func:`replay_counters`
+folds the same table over a recorded stream, so the event log and the
+final :class:`~repro.obs.metrics.MetricsSnapshot` are two views of one
+record.
 
 :class:`SnapshotDeltaFlusher` is the live-export half: it diffs the
 registry against the last flush on an interval and emits the delta as
@@ -42,7 +44,7 @@ import uuid
 from collections import deque
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
+    Any,
     Callable,
     Deque,
     Dict,
@@ -51,13 +53,11 @@ from typing import (
     Mapping,
     Optional,
     TextIO,
+    Tuple,
     Union,
 )
 
-from repro.obs.metrics import MetricsSnapshot, Number, metric_key
-
-if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, Number
 
 #: Event schema version; bump on any envelope change.
 #: v2: added the ``span`` kind (distributed-tracing span records).
@@ -223,66 +223,106 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, object]]:
     return events
 
 
+Amount = Callable[[Mapping[str, Any]], Optional[Number]]
+CounterRule = Tuple[str, Tuple[Tuple[str, str], ...], Amount]
+
+
+def _one(event: Mapping[str, Any]) -> Number:
+    return 1
+
+
+def _field(name: str) -> Amount:
+    return lambda event: event.get(name)
+
+
+def _nonzero(name: str) -> Amount:
+    return lambda event: event.get(name) or None
+
+
+def _failed(event: Mapping[str, Any]) -> Optional[Number]:
+    return None if event.get("ok") else 1
+
+
+def _extra_attempts(event: Mapping[str, Any]) -> Optional[Number]:
+    return event.get("attempts", 1) - 1 or None
+
+
+_LOG = (("log", "log"),)
+_MONITOR_LOG = (("monitor", "monitor"), ("log", "log"))
+
+#: Which counters each event kind moves: ``kind -> (counter, labels,
+#: amount)`` rules.  ``labels`` pairs each label with the event field
+#: that carries its value; ``amount(event)`` is the increment, ``None``
+#: when the event leaves that counter alone.  :func:`record` applies
+#: the table as an event is emitted and :func:`replay_counters` folds
+#: it over a recorded stream, so the two cannot disagree.
+EVENT_COUNTERS: Dict[str, Tuple[CounterRule, ...]] = {
+    "feed_poll": (
+        ("feed.entries", _LOG, _field("entries")),
+        ("feed.poll_errors", _LOG, _failed),
+        ("feed.poll_retries", _LOG, _nonzero("retried")),
+    ),
+    "monitor_fetch": (
+        ("monitor.entries", _MONITOR_LOG, _field("entries")),
+        ("monitor.errors", _MONITOR_LOG, _failed),
+        ("monitor.retries", _MONITOR_LOG, _nonzero("retried")),
+    ),
+    "lightweight_poll": (
+        ("monitor.wire_entries", _MONITOR_LOG, _field("wire_entries")),
+        ("monitor.wire_bytes", _MONITOR_LOG, _field("wire_bytes")),
+        ("monitor.matches", _MONITOR_LOG, _field("matches")),
+    ),
+    "audit_finding": (
+        ("auditor.findings", (("log", "log"), ("kind", "finding")), _one),
+    ),
+    "log_server_request": (
+        ("log_server.responses", (("endpoint", "endpoint"), ("status", "status")), _one),
+    ),
+    "sequencer_merge": (
+        ("sequencer.merges", _LOG, _one),
+        ("sequencer.entries_merged", _LOG, _field("batch")),
+    ),
+    "checkpoint_resume": (("pipeline.shards_resumed", (), _field("shards")),),
+    "map_start": (("pipeline.shards_planned", (), _field("shards")),),
+    "shard_finish": (
+        ("pipeline.shards_completed", (), _one),
+        ("pipeline.shard_attempts", (), _field("attempts")),
+        ("pipeline.shard_retries", (), _extra_attempts),
+        ("pipeline.retries_total", (), _extra_attempts),
+    ),
+    "shard_failed": (
+        ("pipeline.shards_failed", (), _one),
+        ("pipeline.shard_failures", (("shard", "shard"),), _one),
+        ("pipeline.failed_shard_attempts", (), _field("attempts")),
+        ("pipeline.retries_total", (), _extra_attempts),
+    ),
+}
+
+
+def _count(metrics: MetricsRegistry, kind: Any, event: Mapping[str, Any]) -> None:
+    for name, labels, amount in EVENT_COUNTERS.get(kind, ()):
+        moved = amount(event)
+        if moved is not None:
+            metrics.inc(name, moved, **{label: event[field] for label, field in labels})
+
+
+def record(
+    metrics: MetricsRegistry, events: EventLog, kind: str, **fields: object
+) -> None:
+    """Record one operation: move the counters :data:`EVENT_COUNTERS`
+    derives from its ``kind`` event, then emit the event."""
+    _count(metrics, kind, fields)
+    events.emit(kind, **fields)
+
+
 def replay_counters(events: Iterable[Mapping[str, object]]) -> Dict[str, Number]:
-    """Fold events back into the counters their emitters recorded.
-
-    Covers the counter families whose instruments and events are
-    emitted by the same code paths — per-log feed/monitor fetch
-    outcomes and per-shard pipeline lifecycle — so for a run with both
-    metrics and events attached, the replay of those families equals
-    the final snapshot's counters exactly (asserted in
-    ``tests/obs/test_events.py`` and the live telemetry test).
-    """
-    counters: Dict[str, Number] = {}
-
-    def add(name: str, amount: Number = 1, **labels: object) -> None:
-        key = metric_key(name, labels)
-        counters[key] = counters.get(key, 0) + amount
-
+    """The counters :func:`record` moved for ``events``: for a run with
+    metrics and events attached, equal to the final snapshot's counters
+    on every family :data:`EVENT_COUNTERS` names."""
+    replayed = MetricsRegistry()
     for event in events:
-        kind = event.get("kind")
-        if kind == "feed_poll":
-            log = event["log"]
-            if event.get("ok"):
-                add("feed.entries", int(event.get("entries", 0)), log=log)
-            else:
-                add("feed.poll_errors", 1, log=log)
-            retried = int(event.get("retried", 0))
-            if retried:
-                add("feed.poll_retries", retried, log=log)
-        elif kind == "monitor_fetch":
-            labels = {"monitor": event["monitor"], "log": event["log"]}
-            if event.get("ok"):
-                add("monitor.entries", int(event.get("entries", 0)), **labels)
-            else:
-                add("monitor.errors", 1, **labels)
-            retried = int(event.get("retried", 0))
-            if retried:
-                add("monitor.retries", retried, **labels)
-        elif kind == "lightweight_poll":
-            labels = {"monitor": event["monitor"], "log": event["log"]}
-            add("monitor.wire_entries", int(event.get("wire_entries", 0)), **labels)
-            add("monitor.wire_bytes", int(event.get("wire_bytes", 0)), **labels)
-            add("monitor.matches", int(event.get("matches", 0)), **labels)
-        elif kind == "map_start":
-            add("pipeline.shards_planned", int(event.get("shards", 0)))
-        elif kind == "shard_finish":
-            attempts = int(event.get("attempts", 1))
-            add("pipeline.shards_completed")
-            add("pipeline.shard_attempts", attempts)
-            if attempts > 1:
-                add("pipeline.shard_retries", attempts - 1)
-                add("pipeline.retries_total", attempts - 1)
-        elif kind == "shard_failed":
-            attempts = int(event.get("attempts", 1))
-            add("pipeline.shards_failed")
-            add("pipeline.shard_failures", 1, shard=event["shard"])
-            add("pipeline.failed_shard_attempts", attempts)
-            if attempts > 1:
-                add("pipeline.retries_total", attempts - 1)
-        elif kind == "checkpoint_resume":
-            add("pipeline.shards_resumed", int(event.get("shards", 0)))
-    return counters
+        _count(replayed, event.get("kind"), event)
+    return replayed.snapshot().counters
 
 
 def counter_delta(
@@ -312,7 +352,7 @@ class SnapshotDeltaFlusher:
 
     def __init__(
         self,
-        metrics: "MetricsRegistry",
+        metrics: MetricsRegistry,
         events: EventLog,
         interval_s: float = 5.0,
         clock: Optional[Callable[[], float]] = None,

@@ -30,7 +30,7 @@ from concurrent.futures import (
 )
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.obs.events import NULL_EVENTS, EventLog
+from repro.obs.events import NULL_EVENTS, EventLog, record
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, MetricsSnapshot
 from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.pipeline.shard import DEFAULT_SHARD_SIZE
@@ -84,9 +84,6 @@ def _run_task(
     local = MetricsRegistry()
     local.observe("pipeline.shard_seconds", time.perf_counter() - started)
     local.observe("pipeline.shard_queue_wait_seconds", queue_wait)
-    local.inc("pipeline.shard_attempts", attempts)
-    if attempts > 1:
-        local.inc("pipeline.shard_retries", attempts - 1)
     return value, attempts, local.snapshot()
 
 
@@ -141,9 +138,8 @@ class PipelineEngine:
         events from the coordinator thread — ``map_start`` /
         ``map_finish``, one ``shard_finish`` or ``shard_failed`` per
         shard (with attempt counts), ``checkpoint_resume``, and
-        ``degraded`` — mirroring the metric counters
-        event-for-increment (see
-        :func:`repro.obs.replay_counters`).
+        ``degraded``.  The shard counters are derived from these
+        events (see :func:`repro.obs.record`).
     """
 
     def __init__(
@@ -226,17 +222,17 @@ class PipelineEngine:
                     resumed += 1
             pending = [i for i in pending if i not in done]
             if tasks:
-                self.metrics.inc("pipeline.shards_resumed", resumed)
                 self.metrics.set_gauge(
                     "pipeline.checkpoint_hit_rate", resumed / len(tasks)
                 )
-                self.events.emit(
-                    "checkpoint_resume",
-                    shards=resumed,
-                    hit_rate=resumed / len(tasks),
+                record(
+                    self.metrics, self.events, "checkpoint_resume",
+                    shards=resumed, hit_rate=resumed / len(tasks),
                 )
-        self.metrics.inc("pipeline.shards_planned", len(tasks))
-        self.events.emit("map_start", shards=len(tasks), pending=len(pending))
+        record(
+            self.metrics, self.events, "map_start",
+            shards=len(tasks), pending=len(pending),
+        )
         failures: List[FailedShard] = []
         retries = 0
 
@@ -251,22 +247,18 @@ class PipelineEngine:
                     index, encode(value) if encode else value, attempts=attempts
                 )
             self.metrics.absorb(snap)
-            self.metrics.inc("pipeline.shards_completed")
-            if attempts > 1:
-                self.metrics.inc("pipeline.retries_total", attempts - 1)
-            self.events.emit("shard_finish", shard=index, attempts=attempts)
+            record(
+                self.metrics, self.events, "shard_finish",
+                shard=index, attempts=attempts,
+            )
 
         def fail(index: int, exc: BaseException) -> None:
             nonlocal retries
             attempts = _failure_attempts(exc)
             cause = _failure_cause(exc)
-            self.metrics.inc("pipeline.shards_failed")
-            self.metrics.inc("pipeline.shard_failures", shard=index)
-            self.metrics.inc("pipeline.failed_shard_attempts", attempts)
-            if attempts > 1:
-                self.metrics.inc("pipeline.retries_total", attempts - 1)
-            self.events.emit(
-                "shard_failed", shard=index, attempts=attempts, error=repr(cause)
+            record(
+                self.metrics, self.events, "shard_failed",
+                shard=index, attempts=attempts, error=repr(cause),
             )
             if not self.degrading:
                 raise ShardFailedError(index, attempts, cause) from exc

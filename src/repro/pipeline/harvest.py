@@ -58,11 +58,19 @@ def analyze_harvest_sections(
     corpus = CertCorpus.from_stored(path, metrics=engine.metrics)
     store: Optional[HarvestCheckpoint] = None
     if checkpoint:
-        store = HarvestCheckpoint.for_harvest(
-            path,
-            f"{SECTIONS_PASS} month={month} start={start} end={end} "
-            f"psl={(psl or default_psl()).rules_digest()}",
-            engine.shard_size,
+        # The corpus pass already read the trailer: no second pass.
+        head = corpus.tree_head
+        if head is None:
+            raise LogStorageError("harvest file has no tree-head trailer")
+        store = HarvestCheckpoint(
+            f"{path}.checkpoint",
+            pass_name=(
+                f"{SECTIONS_PASS} month={month} start={start} end={end} "
+                f"psl={(psl or default_psl()).rules_digest()}"
+            ),
+            shard_size=engine.shard_size,
+            tree_size=head["tree_size"],
+            root_hash=head["root_hash"],
             metrics=engine.metrics,
         )
         if len(corpus) != store.tree_size:

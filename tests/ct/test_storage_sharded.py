@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro import cli
+from repro.ct import storage
 from repro.ct.log import CTLog
 from repro.ct.storage import (
     HarvestCheckpoint,
@@ -179,6 +180,32 @@ class TestHarvestCheckpoint:
         # ...but shard partials bound to the tree head would cover
         # other entries than the head does.
         with pytest.raises(LogStorageError, match="cannot checkpoint"):
+            analyze_harvest_sections(
+                path, PipelineEngine(shard_size=6), checkpoint=True
+            )
+
+    def test_checkpointed_run_reads_the_harvest_once(self, harvest, monkeypatch):
+        path, _ = harvest
+        passes = []
+        iter_stored_entries = storage.iter_stored_entries
+
+        def counted(*args, **kwargs):
+            passes.append(args[0])
+            return iter_stored_entries(*args, **kwargs)
+
+        monkeypatch.setattr(storage, "iter_stored_entries", counted)
+        engine = PipelineEngine(workers=1, shard_size=6)
+        for run in ("cold", "resumed"):
+            passes.clear()
+            analyze_harvest_sections(path, engine, checkpoint=True)
+            assert passes == [path], run
+
+    def test_harvest_without_trailer_is_not_checkpointed(self, harvest):
+        path, _ = harvest
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert '"tree-head"' in lines[-1]
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        with pytest.raises(LogStorageError, match="no tree-head trailer"):
             analyze_harvest_sections(
                 path, PipelineEngine(shard_size=6), checkpoint=True
             )

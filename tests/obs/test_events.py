@@ -1,5 +1,8 @@
 """Tests for the structured event log, replay, and delta flushing."""
 
+import base64
+import json
+from collections import Counter
 from datetime import timedelta
 
 import pytest
@@ -7,8 +10,12 @@ import pytest
 from repro.ct.feed import CertFeed
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
-from repro.ct.monitor import StreamingMonitor
+from repro.ct.monitor import LightweightMonitor, StreamingMonitor
+from repro.ct.sequencer import LogSequencer
+from repro.ct.server import LogServer
+from repro.ct.storage import certificate_to_dict
 from repro.obs import (
+    EVENT_COUNTERS,
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
     EventLog,
@@ -22,7 +29,7 @@ from repro.obs import (
 )
 from repro.obs.events import ENVELOPE_FIELDS
 from repro.pipeline import PipelineEngine
-from repro.resilience import FlakyLog, RetryPolicy
+from repro.resilience import FlakyLog, RetryPolicy, TransientLogError
 from repro.util.rng import SeededRng
 from repro.util.timeutil import utc_datetime
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
@@ -191,6 +198,125 @@ class TestReplayEquality:
 
 def _double(n):
     return 2 * n
+
+
+class _FlakyDouble:
+    """Doubles ``n``; shard 2 fails once, shard 3 always."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __call__(self, n):
+        self.calls[n] += 1
+        if n == 3 or (n == 2 and self.calls[n] == 1):
+            raise TransientLogError(f"shard {n} failed")
+        return 2 * n
+
+
+class _ResumedCheckpoint:
+    """A checkpoint that already holds shard 0."""
+
+    def completed(self):
+        return {0: 0}
+
+    def record(self, index, payload, *, attempts=1):
+        pass
+
+    def record_degraded(self, report):
+        pass
+
+
+def _submit(server, ca, log, name):
+    pair = ca.issue(IssuanceRequest((name,)), [log], NOW)
+    body = {
+        "chain": [certificate_to_dict(pair.precertificate)],
+        "issuer_key_hash": base64.b64encode(ca.issuer_key_hash).decode(),
+    }
+    return server.handle_request(
+        "POST", "/ct/v1/add-pre-chain", "", json.dumps(body).encode()
+    )[0]
+
+
+def test_every_derived_counter_replays_from_one_world():
+    """One run through every kind :data:`EVENT_COUNTERS` counts: the
+    replayed events equal the snapshot on every family it names."""
+    metrics, events = MetricsRegistry(), EventLog()
+    rng = SeededRng(5, "parity")
+    ca = CertificateAuthority("Parity CA", key_bits=256)
+    scratch = CTLog(name="Parity Scratch", operator="T", key=log_key("S", 256))
+
+    # A feed and a replay monitor over a flaky log.
+    tailed = CTLog(name="Parity Tail", operator="T", key=log_key("T", 256))
+    flaky = FlakyLog(tailed, rng, failure_rate=0.6, max_consecutive=3)
+    retry = RetryPolicy(max_attempts=2, base_delay_s=0.0, rng=rng.fork("retry"))
+    feed = CertFeed([flaky], retry=retry, metrics=metrics, events=events)
+    monitor = StreamingMonitor(
+        "stream", rng.fork("monitor"), retry=retry, metrics=metrics, events=events
+    )
+    for round_no in range(10):
+        when = NOW + timedelta(minutes=round_no)
+        ca.issue(IssuanceRequest((f"t{round_no}.watched.example",)), [flaky], when)
+        feed.poll(when)
+        monitor.observe(flaky)
+
+    # A light-weight monitor that matches entries, and one that finds
+    # a head signed by another key.
+    for key in (tailed.key, scratch.key):
+        LightweightMonitor(
+            "light", ["watched.example"], key=key, metrics=metrics, events=events
+        ).poll(tailed, NOW)
+
+    # A log server answering 200, 429 and 410 in-process.
+    capped = CTLog(
+        name="Parity Capped", operator="T", key=log_key("C", 256),
+        capacity_per_day=1, strict_capacity=True,
+    )
+    server = LogServer(capped, clock=lambda: NOW, metrics=metrics, events=events)
+    statuses = [_submit(server, ca, scratch, f"s{i}.example") for i in range(2)]
+    capped.disqualify()
+    statuses.append(_submit(server, ca, scratch, "s2.example"))
+    assert statuses == [200, 429, 410]
+
+    # A sequencer merge.
+    sequencer = LogSequencer(
+        CTLog(name="Parity Seq", operator="T", key=log_key("Q", 256)),
+        clock=lambda: NOW,
+        metrics=metrics,
+        events=events,
+    )
+    for i in range(3):
+        pair = ca.issue(IssuanceRequest((f"q{i}.example",)), [scratch], NOW)
+        sequencer.submit_pre_chain(pair.precertificate, ca.issuer_key_hash, NOW)
+    sequencer.merge(NOW)
+
+    # A degraded pipeline run, resumed from a checkpoint, with one
+    # retried and one failing shard.
+    engine = PipelineEngine(
+        shard_size=1,
+        executor="serial",
+        retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, rng=rng.fork("map")),
+        on_error="degrade",
+        metrics=metrics,
+        events=events,
+    )
+    mapped = engine.map(
+        _FlakyDouble(), [0, 1, 2, 3], checkpoint=_ResumedCheckpoint()
+    )
+    assert list(mapped) == [0, 2, 4, None]
+
+    families = {rule[0] for rules in EVENT_COUNTERS.values() for rule in rules}
+
+    def derived(counters):
+        return {
+            key: value
+            for key, value in counters.items()
+            if key.split("{")[0] in families
+        }
+
+    snapshot = derived(metrics.snapshot().counters)
+    assert derived(replay_counters(events.tail(10_000))) == snapshot
+    # The world moved every family the table names.
+    assert {key.split("{")[0] for key in snapshot} == families
 
 
 class TestDeltaFlushing:
