@@ -21,13 +21,9 @@ import json
 import threading
 import time
 import urllib.request
-from datetime import timedelta
 
 from conftest import EVOLUTION_SCALE, record_artifact
 
-from repro.ct.log import CTLog
-from repro.ct.loglist import log_key
-from repro.ct.server import LogServer
 from repro.dataset import CertCorpus, LiveAnalytics, section2_graph, sections_graph
 from repro.dataset.sections import (
     corpus_growth,
@@ -36,9 +32,8 @@ from repro.dataset.sections import (
     corpus_rates,
 )
 from repro.obs import MetricsRegistry, TelemetryServer
-from repro.util.timeutil import utc_datetime
-from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
-from repro.x509.ca import CertificateAuthority, IssuanceRequest
+from repro.workloads.loadgen import LoadStormConfig
+from repro.workloads.scenario import Scenario
 
 FUSION_TARGET = 1.5
 TRIALS = 2
@@ -172,21 +167,15 @@ def _append_pass(batches, on_batch=None):
     return live, time.perf_counter() - start
 
 
-def _storm_log(entries=10):
-    now = utc_datetime(2018, 5, 1, 10, 0)
-    log = CTLog(
-        name="Append Storm Log",
-        operator="Bench",
-        key=log_key("Append Storm Log", 256),
-    )
-    ca = CertificateAuthority("Append Storm CA", key_bits=256)
-    for index in range(entries):
-        ca.issue(
-            IssuanceRequest((f"storm{index}.bench.org",)),
-            [log],
-            now + timedelta(seconds=index),
-        )
-    return log
+#: The storm the append leg folds beside.
+APPEND_STORM = Scenario(
+    log_entries=10,
+    storm=LoadStormConfig(
+        seed=18, browsers=2, monitors=1, submitters=1, audits_per_browser=3,
+        pages_per_monitor=2, page_size=4, submissions_per_submitter=3,
+    ),
+    workers=4,
+)
 
 
 def test_bench_dataset_append_path(evolution_run, request):
@@ -221,38 +210,14 @@ def test_bench_dataset_append_path(evolution_run, request):
             assert response.status == 200
             scrapes.append(json.loads(response.read().decode()))
 
-    storm_log = _storm_log()
-    plans = plan_storm(
-        LoadStormConfig(
-            seed=18,
-            browsers=2,
-            monitors=1,
-            submitters=1,
-            audits_per_browser=3,
-            pages_per_monitor=2,
-            page_size=4,
-            submissions_per_submitter=3,
-        ),
-        storm_log,
-    )
-    storm_report = {}
     live = LiveAnalytics()
-    with LogServer(
-        storm_log, clock=lambda: utc_datetime(2018, 5, 1, 10, 5)
-    ) as log_server, TelemetryServer(
+    # Leaving the world checks the storm: no transport error, every
+    # read verified.
+    with APPEND_STORM.serve() as world, TelemetryServer(
         registry.snapshot, analytics_source=live.to_dict
     ) as telemetry:
         served_live["url"] = telemetry.url
-
-        def storm():
-            storm_report["report"] = run_storm(
-                plans,
-                log_server.log_url(storm_log.name),
-                executor="thread",
-                workers=4,
-            )
-
-        storm_thread = threading.Thread(target=storm)
+        storm_thread = threading.Thread(target=world.storm)
         storm_thread.start()
         corpus = CertCorpus.empty()
         start = time.perf_counter()
@@ -262,9 +227,7 @@ def test_bench_dataset_append_path(evolution_run, request):
         storm_seconds = time.perf_counter() - start
         storm_thread.join(timeout=60)
     live_storm = live
-    report = storm_report["report"]
-    assert report.transport_errors == 0
-    assert report.verification_failures == 0
+    report = world.report
     # Every scrape is a well-formed version-1 snapshot; the folded
     # record count grows monotonically across them.
     assert len(scrapes) == APPEND_BATCHES // SCRAPE_EVERY

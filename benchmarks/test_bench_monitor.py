@@ -29,7 +29,7 @@ from conftest import record_artifact
 from repro.ct.auditor import GossipPool, make_split_view_log
 from repro.ct.log import CTLog
 from repro.ct.sequencer import LogSequencer
-from repro.ct.server import LogServer, SplitView
+from repro.ct.server import LogServer
 from repro.util.timeutil import utc_datetime
 from repro.workloads.incidents import split_view_incidents
 from repro.workloads.loadgen import (
@@ -37,10 +37,9 @@ from repro.workloads.loadgen import (
     MonitorSwarm,
     MonitorSwarmConfig,
     gossip_storm_sths,
-    plan_storm,
     plan_swarm_subscriptions,
-    run_storm,
 )
+from repro.workloads.scenario import Scenario
 from repro.x509 import crypto
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
 
@@ -54,14 +53,14 @@ MIN_WIRE_RATIO = 10.0
 NOW = utc_datetime(2018, 5, 1, 9, 0)
 
 
-def _seeded_log(name="Bench Monitor Log", entries=SEED_ENTRIES):
+def _seeded_log():
     log = CTLog(
-        name=name,
+        name="Bench Monitor Log",
         operator="Repro",
-        key=crypto.KeyPair.generate(name.lower().replace(" ", "-"), 256),
+        key=crypto.KeyPair.generate("bench-monitor-log", 256),
     )
     ca = CertificateAuthority("Bench Monitor CA", key_bits=256)
-    for index in range(entries):
+    for index in range(SEED_ENTRIES):
         ca.issue(
             IssuanceRequest((f"site{index}.bench.example",)), [log], NOW
         )
@@ -197,34 +196,24 @@ def test_bench_lightweight_swarm_wire_efficiency():
     )
 
 
-GOSSIP_CONFIG = LoadStormConfig(
-    seed=2018,
-    browsers=8,
-    monitors=3,
-    submitters=0,
-    audits_per_browser=4,
-    pages_per_monitor=4,
-    page_size=8,
+GOSSIP = Scenario(
+    log_entries=24,
+    storm=LoadStormConfig(
+        seed=2018, browsers=8, monitors=3, submitters=0,
+        audits_per_browser=4, pages_per_monitor=4, page_size=8,
+    ),
+    split_view=True,
 )
 
 
 def test_bench_storm_gossip_detects_split_view():
-    log = _seeded_log(name="Bench Gossip Log", entries=24)
-    twin = make_split_view_log(log, fork_at=log.size // 2, pad_to=log.size)
-    plans = plan_storm(GOSSIP_CONFIG, log)
-
+    # The wire stays healthy (leaving the world checks zero transport
+    # errors): the equivocation is served, not broken.
     started = time.perf_counter()
-    with LogServer(SplitView(log, twin)) as server:
-        report = run_storm(
-            plans,
-            server.log_url(log.name),
-            executor="thread",
-            workers=8,
-        )
+    with GOSSIP.serve() as world:
+        report = world.storm()
     wall = time.perf_counter() - started
-
-    # The wire stayed healthy: the equivocation is served, not broken.
-    assert report.transport_errors == 0
+    log = world.log
 
     pool = GossipPool({log.name: log.key})
     findings = gossip_storm_sths(report, pool, log.name)
@@ -233,12 +222,13 @@ def test_bench_storm_gossip_detects_split_view():
     assert len(incidents) == 1
     incident = incidents[0]
     assert incident.tree_size == log.size
+    twin = make_split_view_log(log, fork_at=log.size // 2, pad_to=log.size)
     assert {incident.first_root, incident.second_root} == {
         log.tree.root().hex(), twin.tree.root().hex()
     }
 
     lines = [
-        f"Split-view gossip under storm — {GOSSIP_CONFIG.clients} clients "
+        f"Split-view gossip under storm — {GOSSIP.storm.clients} clients "
         f"against a partitioned {log.size}-entry log "
         f"(fork at {log.size // 2}), {wall:.2f}s wall",
         report.render(),
@@ -251,7 +241,7 @@ def test_bench_storm_gossip_detects_split_view():
         "monitor_gossip",
         "\n".join(lines),
         data={
-            "clients": GOSSIP_CONFIG.clients,
+            "clients": GOSSIP.storm.clients,
             "tree_size": log.size,
             "fork_at": log.size // 2,
             "sths_gossiped": pool.sths_gossiped,

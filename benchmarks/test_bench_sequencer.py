@@ -14,33 +14,27 @@ reports SCT latency (time-to-promise) separately from merge lag
 (time-to-inclusion), the split that defines MMD semantics.
 """
 
+from dataclasses import replace
+
 from conftest import record_artifact
+from test_bench_server import SCENARIO as PER_ENTRY
 
-from repro.ct.log import CTLog
-from repro.ct.server import LogServer
-from repro.util.timeutil import utc_datetime
-from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
-from repro.x509 import crypto
-from repro.x509.ca import CertificateAuthority, IssuanceRequest
-
-SEED_ENTRIES = 48
-#: Same reader population as the per-entry benchmark, but a heavier
-#: submission burst: the batched pipeline's whole point is sustaining
-#: write volume (Section 2's storm) without starving readers.
-CONFIG = LoadStormConfig(
-    seed=2018,
-    browsers=8,
-    monitors=3,
-    submitters=4,
-    audits_per_browser=10,
-    pages_per_monitor=8,
-    page_size=8,
-    submissions_per_submitter=24,
-    await_inclusion=True,
+#: Same world and reader population as the per-entry benchmark, but a
+#: heavier submission burst through the batched write path: its whole
+#: point is sustaining write volume (Section 2's storm) without
+#: starving readers.
+SCENARIO = replace(
+    PER_ENTRY,
+    storm=replace(
+        PER_ENTRY.storm,
+        submitters=4,
+        submissions_per_submitter=24,
+        await_inclusion=True,
+    ),
+    merge_interval=0.02,
+    max_batch=512,
 )
-WORKERS = 8
-MERGE_INTERVAL_S = 0.02
-MAX_BATCH = 512
+CONFIG = SCENARIO.storm
 
 #: The per-entry baseline gates >= 20 accepted submissions/sec
 #: (test_bench_server.py); the batched pipeline must double it.
@@ -49,48 +43,17 @@ MIN_SUBMISSIONS_PER_SEC = 2.0 * PER_ENTRY_BASELINE_SUBS_PER_SEC
 MAX_READ_P99_S = 0.25
 
 
-def _seeded_log():
-    log = CTLog(
-        name="Bench Batched Log",
-        operator="Repro",
-        key=crypto.KeyPair.generate("bench-batched-log", 256),
-    )
-    ca = CertificateAuthority("Bench Batch CA", key_bits=256)
-    now = utc_datetime(2018, 5, 1, 9, 0)
-    for index in range(SEED_ENTRIES):
-        ca.issue(
-            IssuanceRequest(
-                (f"seed{index}.batch.example", f"www.seed{index}.batch.example")
-            ),
-            [log],
-            now,
-        )
-    return log
-
-
 def test_bench_batched_write_pipeline(request):
-    log = _seeded_log()
-    plans = plan_storm(CONFIG, log)
-    with LogServer(
-        log, merge_interval=MERGE_INTERVAL_S, max_batch=MAX_BATCH
-    ) as server:
-        report = run_storm(
-            plans,
-            server.log_url(log.name),
-            executor="thread",
-            workers=WORKERS,
-        )
-        server.drain_writes()
-        stats = server.sequencer_stats()[next(iter(server.slugs))]
+    # Leaving the world checks the standing invariants in every mode:
+    # every read verified, and every submitter saw all of its leaves
+    # merged and proven included before giving up.
+    with SCENARIO.serve() as world:
+        report = world.storm()
+    stats = world.server.sequencer_stats()[next(iter(world.server.slugs))]
 
-    # Correctness invariants hold in every mode: every submission was
-    # accepted, every read verified, and every submitter saw all of its
-    # leaves merged and proven included before giving up.
-    assert report.transport_errors == 0
-    assert report.verification_failures == 0
+    # Every submission was accepted and merged into the tree.
     assert report.submissions_ok == CONFIG.planned_submissions
-    assert report.inclusions_verified == CONFIG.submitters
-    assert log.size == SEED_ENTRIES + CONFIG.planned_submissions
+    assert world.log.size == SCENARIO.log_entries + CONFIG.planned_submissions
 
     # The batching must be real, not per-entry merges in disguise.
     assert stats["entries_merged"] == CONFIG.planned_submissions
@@ -113,8 +76,8 @@ def test_bench_batched_write_pipeline(request):
     lines = [
         f"Batched write pipeline under storm — {CONFIG.clients} clients "
         f"({CONFIG.browsers} browsers, {CONFIG.monitors} monitors, "
-        f"{CONFIG.submitters} submitters), {SEED_ENTRIES}-entry seed, "
-        f"merges every {MERGE_INTERVAL_S * 1e3:.0f} ms",
+        f"{CONFIG.submitters} submitters), {SCENARIO.log_entries}-entry seed, "
+        f"merges every {SCENARIO.merge_interval * 1e3:.0f} ms",
         report.render(),
         f"  sequencer    {stats['merges']:.0f} merges, "
         f"max batch {stats['max_batch_merged']:.0f}, "
@@ -127,10 +90,10 @@ def test_bench_batched_write_pipeline(request):
         "\n".join(lines),
         data={
             "clients": CONFIG.clients,
-            "seed_entries": SEED_ENTRIES,
-            "workers": WORKERS,
-            "merge_interval_s": MERGE_INTERVAL_S,
-            "max_batch": MAX_BATCH,
+            "seed_entries": SCENARIO.log_entries,
+            "workers": SCENARIO.workers,
+            "merge_interval_s": SCENARIO.merge_interval,
+            "max_batch": SCENARIO.max_batch,
             "reads_ok": report.reads_ok,
             "reads_per_sec": report.reads_per_sec,
             "read_p50_s": report.read_p50,

@@ -1,10 +1,10 @@
 """Served-log throughput and latency under a seeded client storm.
 
-Boots a real :class:`repro.ct.server.LogServer` on an ephemeral port,
-seeds it with precertificates, and drives the deterministic
-:mod:`repro.workloads.loadgen` population over real sockets: auditing
-browsers, tailing monitors, and bursty CA submitters racing on a
-thread pool.  Two gates (hard outside smoke mode):
+Serves a seeded :class:`repro.workloads.scenario.Scenario` (a real
+:class:`repro.ct.server.LogServer` on an ephemeral port) and drives the
+deterministic :mod:`repro.workloads.loadgen` population over real
+sockets: auditing browsers, tailing monitors, and bursty CA submitters
+racing on a thread pool.  Two gates (hard outside smoke mode):
 
 * sustained accepted submissions/sec >= ``MIN_SUBMISSIONS_PER_SEC``;
 * read p99 latency < ``MAX_READ_P99_S``.
@@ -21,71 +21,38 @@ a read-heavy storm.
 
 from conftest import record_artifact
 
-from repro.ct.log import CTLog
-from repro.ct.server import LogServer
-from repro.util.timeutil import utc_datetime
-from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
-from repro.x509 import crypto
-from repro.x509.ca import CertificateAuthority, IssuanceRequest
+from repro.workloads.loadgen import LoadStormConfig
+from repro.workloads.scenario import Scenario
 
-SEED_ENTRIES = 48
-CONFIG = LoadStormConfig(
-    seed=2018,
-    browsers=8,
-    monitors=3,
-    submitters=3,
-    audits_per_browser=10,
-    pages_per_monitor=8,
-    page_size=8,
-    submissions_per_submitter=12,
-    # The per-entry write path merges synchronously; inclusion polling
-    # would only re-measure request latency.  The batched pipeline's
-    # benchmark (test_bench_sequencer.py) keeps it on.
-    await_inclusion=False,
+SCENARIO = Scenario(
+    log_entries=48,
+    storm=LoadStormConfig(
+        seed=2018, browsers=8, monitors=3, submitters=3,
+        audits_per_browser=10, pages_per_monitor=8, page_size=8,
+        submissions_per_submitter=12,
+        # The per-entry write path merges synchronously; inclusion
+        # polling would only re-measure request latency.  The batched
+        # pipeline's benchmark (test_bench_sequencer.py) keeps it on.
+        await_inclusion=False,
+    ),
+    workers=8,
 )
-WORKERS = 8
+CONFIG = SCENARIO.storm
 MIN_SUBMISSIONS_PER_SEC = 20.0
 MAX_READ_P99_S = 0.25
 MIN_MEMO_HIT_RATE = 0.25
 
 
-def _seeded_log():
-    log = CTLog(
-        name="Bench Served Log",
-        operator="Repro",
-        key=crypto.KeyPair.generate("bench-served-log", 256),
-    )
-    ca = CertificateAuthority("Bench Serve CA", key_bits=256)
-    now = utc_datetime(2018, 5, 1, 9, 0)
-    for index in range(SEED_ENTRIES):
-        ca.issue(
-            IssuanceRequest(
-                (f"seed{index}.bench.example", f"www.seed{index}.bench.example")
-            ),
-            [log],
-            now,
-        )
-    return log
-
-
 def test_bench_log_server_storm(request):
-    log = _seeded_log()
-    plans = plan_storm(CONFIG, log)
-    with LogServer(log) as server:
-        report = run_storm(
-            plans,
-            server.log_url(log.name),
-            executor="thread",
-            workers=WORKERS,
-        )
-        memo = server.memo_stats()[next(iter(server.slugs))]
+    # Leaving the world checks the standing invariants in every mode:
+    # no transport error and every read verified.
+    with SCENARIO.serve() as world:
+        report = world.storm()
+        memo = world.server.memo_stats()[next(iter(world.server.slugs))]
 
-    # Correctness invariants hold in every mode: each planned request
-    # completed, every proof verified, every submission was accepted.
-    assert report.transport_errors == 0
-    assert report.verification_failures == 0
+    # Each planned request completed and every submission was accepted.
     assert report.submissions_ok == CONFIG.planned_submissions
-    assert report.reads_ok == sum(plan.reads for plan in plans)
+    assert report.reads_ok == sum(plan.reads for plan in world.plans)
 
     lookups = memo["hits"] + memo["misses"]
     hit_rate = memo["hits"] / lookups if lookups else 0.0
@@ -108,7 +75,7 @@ def test_bench_log_server_storm(request):
     lines = [
         f"Served log under storm — {CONFIG.clients} clients "
         f"({CONFIG.browsers} browsers, {CONFIG.monitors} monitors, "
-        f"{CONFIG.submitters} submitters), {SEED_ENTRIES}-entry seed",
+        f"{CONFIG.submitters} submitters), {SCENARIO.log_entries}-entry seed",
         report.render(),
         f"  memo         {memo['hits']} hits / {memo['misses']} misses "
         f"({hit_rate:.0%} hit rate)",
@@ -120,8 +87,8 @@ def test_bench_log_server_storm(request):
         "\n".join(lines),
         data={
             "clients": CONFIG.clients,
-            "seed_entries": SEED_ENTRIES,
-            "workers": WORKERS,
+            "seed_entries": SCENARIO.log_entries,
+            "workers": SCENARIO.workers,
             "reads_ok": report.reads_ok,
             "reads_per_sec": report.reads_per_sec,
             "read_p50_s": report.read_p50,

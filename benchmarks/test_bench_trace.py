@@ -14,28 +14,21 @@ every span serialized into an in-memory event log.  Two gates:
 Overhead is measured in **process CPU time**, not wall clock: client
 and server share one process, tracing cost is pure CPU, and on shared
 CI runners wall-clock per-request latency swings far more than the
-ceiling this gate enforces.  Bare and traced storms in a pair reuse
-the same log name (hence the same deterministically derived key), so
-signing work is identical and only tracing differs; the gate takes the
-minimum ratio over up to ``MAX_REPEATS`` interleaved pairs, stopping
-at the first pair under the ceiling.  Logs and CAs use the repo's
-default 512-bit keys (tests shrink to 256 for speed) so per-op signing
-cost is the realistic denominator.
+ceiling this gate enforces.  Bare and traced storms in a pair serve
+the same seeded :class:`~repro.workloads.scenario.Scenario` (hence the
+same derived key), so signing work is identical and only tracing
+differs; the gate takes the minimum ratio over up to ``MAX_REPEATS``
+interleaved pairs, stopping at the first pair under the ceiling.
 """
 
 import json
 import time
-from datetime import timedelta
 
 from conftest import record_artifact
 
-from repro.ct.log import CTLog
-from repro.ct.loglist import log_key
-from repro.ct.server import LogServer
-from repro.obs import NULL_EVENTS, NULL_TRACER, EventLog, SpanTracer, TraceStore
-from repro.util.timeutil import utc_datetime
-from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
-from repro.x509.ca import CertificateAuthority, IssuanceRequest
+from repro.obs import NULL_EVENTS, NULL_TRACER, EventLog, SpanTracer
+from repro.workloads.loadgen import LoadStormConfig
+from repro.workloads.scenario import Scenario
 
 SEED = 2018
 #: Upper bound on bare/traced storm pairs; the gate takes the best
@@ -43,22 +36,17 @@ SEED = 2018
 #: ceiling, so a clean machine runs a single pair.
 MAX_REPEATS = 6
 OVERHEAD_CEILING = 0.05
-
-
-def _seeded_log(tag):
-    log = CTLog(
-        name=f"Trace Bench {tag}",
-        operator="T",
-        key=log_key(f"Trace Bench {tag}"),
-    )
-    ca = CertificateAuthority(f"Trace Bench CA {tag}")
-    base = utc_datetime(2018, 5, 1, 12, 0)
-    for i in range(4):
-        ca.issue(
-            IssuanceRequest((f"seed{i}.trace.example",)), [log],
-            base + timedelta(minutes=i),
-        )
-    return log
+#: ``await_inclusion=False``: inclusion polling races the background
+#: merge worker and its sleeps would swamp the tracing signal.  The
+#: timed section is pure request/response work; merges drain after.
+SCENARIO = Scenario(
+    log_entries=4,
+    storm=LoadStormConfig(
+        seed=SEED, browsers=2, monitors=1, submitters=4, await_inclusion=False
+    ),
+    merge_interval=60.0,
+    executor="serial",
+)
 
 
 def _stable_view(report):
@@ -84,57 +72,30 @@ def _stable_view(report):
     )
 
 
-def _run_storm(tag, traced):
-    log = _seeded_log(tag)
-    # ``await_inclusion=False``: inclusion polling races the background
-    # merge worker and its sleeps would swamp the tracing signal.  The
-    # timed section is pure request/response work; merges drain after.
-    config = LoadStormConfig(
-        seed=SEED,
-        browsers=2,
-        monitors=1,
-        submitters=4,
-        await_inclusion=False,
-    )
-    plans = plan_storm(config, log)
+def _run_storm(traced):
     events = EventLog(tail_size=65536) if traced else NULL_EVENTS
     tracer = (
         SpanTracer(seed=SEED, name="bench", events=events)
         if traced
         else NULL_TRACER
     )
-    with LogServer(
-        log, merge_interval=60.0, events=events, tracer=tracer
-    ) as server:
+    # Leaving a traced world checks zero orphan spans and an identical
+    # event replay, outside the timed section.
+    with SCENARIO.serve(events=events, tracer=tracer) as world:
         started = time.process_time()
-        report = run_storm(
-            plans,
-            server.log_url(log.name),
-            executor="serial",
-            trace_seed=SEED if traced else None,
-        )
+        report = world.storm()
         spent = time.process_time() - started
-        server.drain_writes()
-    spans = 0
-    if traced:
-        for result in report.results:
-            for record in result.spans:
-                tracer.record_remote(record)
-        store = TraceStore()
-        store.add_many(tracer.to_records())
-        assert store.orphan_spans() == []
-        spans = len(store)
-    return spent, report, spans
+    return spent, report, len(world.trace_store)
 
 
 def test_bench_tracing_overhead(request):
     smoke = request.config.getoption("--benchmark-disable", default=False)
     runs = []
     for repeat in range(1 if smoke else MAX_REPEATS):
-        # Same tag both sides: identical derived keys, identical
-        # signing work — the pair differs only in tracing.
-        bare_seconds, bare_report, _ = _run_storm("pair", False)
-        traced_seconds, traced_report, spans = _run_storm("pair", True)
+        # One seeded log both sides: identical keys, identical signing
+        # work — the pair differs only in tracing.
+        bare_seconds, bare_report, _ = _run_storm(False)
+        traced_seconds, traced_report, spans = _run_storm(True)
         # Tracing-off output stays byte-identical to tracing-on.
         assert _stable_view(bare_report) == _stable_view(traced_report)
         runs.append((bare_seconds, traced_seconds, spans))

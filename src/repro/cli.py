@@ -480,31 +480,6 @@ def cmd_projection(args) -> str:
     return render_projection(project_adoption(share))
 
 
-def _seeded_ct_log(seed: int, entries: int):
-    """A CT log pre-populated with ``entries`` deterministic precerts."""
-    from datetime import timedelta
-
-    from repro.ct.log import CTLog
-    from repro.util.timeutil import utc_datetime
-    from repro.x509 import crypto
-    from repro.x509.ca import CertificateAuthority, IssuanceRequest
-
-    log = CTLog(
-        name="Repro Serve Log",
-        operator="Repro",
-        key=crypto.KeyPair.generate(f"serve-log:{seed}", 256),
-    )
-    ca = CertificateAuthority(name="Serve Seed CA", key_bits=256)
-    start = utc_datetime(2018, 5, 1, 12, 0)
-    for i in range(entries):
-        ca.issue(
-            IssuanceRequest((f"seed{i}.serve.example",)),
-            [log],
-            start + timedelta(seconds=i),
-        )
-    return log
-
-
 def cmd_serve(args) -> str:
     """Serve a seeded CT log over RFC 6962 HTTP endpoints.
 
@@ -518,8 +493,9 @@ def cmd_serve(args) -> str:
     import time as _time
 
     from repro.ct.server import LogServer
+    from repro.workloads.scenario import seeded_log
 
-    log = _seeded_ct_log(args.seed, args.log_entries)
+    log = seeded_log(args.seed, args.log_entries)
     server = LogServer(
         log,
         host=args.host,
@@ -580,14 +556,33 @@ def cmd_serve(args) -> str:
     return summary
 
 
+def _storm_scenario(args, submitters=None, **fields):
+    """The storm world the ``loadstorm``/``lifecycle``/``gossip`` flags
+    describe (``--workers`` counts only when it is above 1)."""
+    from repro.workloads.loadgen import LoadStormConfig
+    from repro.workloads.scenario import Scenario
+
+    fields.setdefault("merge_interval", args.merge_interval)
+    return Scenario(
+        log_entries=args.log_entries,
+        storm=LoadStormConfig(
+            seed=args.seed,
+            browsers=args.browsers,
+            monitors=args.monitors,
+            submitters=args.submitters if submitters is None else submitters,
+        ),
+        max_batch=args.max_batch,
+        executor=args.executor,
+        workers=args.workers if args.workers > 1 else 8,
+        **fields,
+    )
+
+
 def cmd_loadstorm(args) -> str:
     """Boot a served log and drive a seeded client storm against it.
 
-    Seeds a log with ``--log-entries`` precertificates, serves it on an
-    ephemeral port, expands the ``--browsers``/``--monitors``/
-    ``--submitters`` population into deterministic plans, and runs them
-    concurrently over real sockets with ``--executor`` workers.  Prints
-    the storm report (reads/sec, p50/p99, submissions/sec); with
+    Serves the flags' storm world (see :func:`_storm_scenario`) and
+    prints the storm report (reads/sec, p50/p99, submissions/sec);
     ``--storm-out FILE`` also writes it as JSON.
 
     ``--lightweight-monitors N`` additionally runs a swarm of N
@@ -598,55 +593,25 @@ def cmd_loadstorm(args) -> str:
     """
     from datetime import datetime, timezone
 
-    from repro.ct.server import LogServer
     from repro.workloads.loadgen import (
-        LoadStormConfig,
         MonitorSwarm,
         MonitorSwarmConfig,
-        plan_storm,
         plan_swarm_subscriptions,
-        run_storm,
     )
 
-    log = _seeded_ct_log(args.seed, args.log_entries)
-    config = LoadStormConfig(
-        seed=args.seed,
-        browsers=args.browsers,
-        monitors=args.monitors,
-        submitters=args.submitters,
-    )
-    plans = plan_storm(config, log)
     swarm_summary = None
-    with LogServer(
-        log,
-        host=args.host,
-        metrics=args.metrics,
-        events=args.events,
-        merge_interval=args.merge_interval,
-        max_batch=args.max_batch,
-    ) as server:
-        report = run_storm(
-            plans,
-            server.log_url(log.name),
-            executor=args.executor,
-            workers=args.workers if args.workers > 1 else 8,
-        )
-        server.drain_writes()
+    with _storm_scenario(args).serve(
+        host=args.host, metrics=args.metrics, events=args.events
+    ) as world:
+        report = world.storm()
         if args.lightweight_monitors > 0:
+            log = world.log
             swarm_config = MonitorSwarmConfig(
                 seed=args.seed, monitors=args.lightweight_monitors
             )
-            domain_pool = [
-                name
-                for entry in log.entries
-                for name in entry.certificate.dns_names()
-            ]
-            swarm = MonitorSwarm(
-                server.log_url(log.name),
-                log.name,
-                plan_swarm_subscriptions(swarm_config, domain_pool),
-                key=log.key,
-            )
+            names = [n for e in log.entries for n in e.certificate.dns_names()]
+            subscriptions = plan_swarm_subscriptions(swarm_config, names)
+            swarm = MonitorSwarm(world.url, log.name, subscriptions, key=log.key)
             matched = swarm.poll(datetime.now(timezone.utc))
             totals = swarm.wire_totals()
             swarm_summary = {
@@ -666,120 +631,66 @@ def cmd_loadstorm(args) -> str:
         if args.swarm_out:
             _write_json_artifact(args.swarm_out, swarm_summary)
         rendered += (
-            f"\nLight-weight swarm — {swarm_summary['monitors']} monitors "
-            f"over tree size {swarm_summary['tree_size']}:"
-            f"\n  matched      {swarm_summary['matched_observations']:6d} "
-            f"observations   {swarm_summary['missed_subscribed']} missed   "
-            f"{swarm_summary['findings']} findings"
-            f"\n  wire cost    {swarm_summary['wire_requests']:6d} requests   "
-            f"{swarm_summary['wire_entries']} entry bodies   "
-            f"{swarm_summary['wire_bytes']} bytes"
-        )
+            "\nLight-weight swarm — {monitors} monitors over tree size "
+            "{tree_size}:\n  matched      {matched_observations:6d} "
+            "observations   {missed_subscribed} missed   {findings} findings"
+            "\n  wire cost    {wire_requests:6d} requests   {wire_entries} "
+            "entry bodies   {wire_bytes} bytes"
+        ).format(**swarm_summary)
     return rendered
 
 
 def cmd_lifecycle(args) -> str:
     """Per-certificate lifecycle timelines reconstructed from spans.
 
-    Boots a sequencer-backed :class:`~repro.ct.server.LogServer` with a
-    seeded tracer, drives a seeded client storm against it with tracing
-    on (every hop propagates the trace context through the
-    ``X-Repro-Traceparent`` header), then polls a traced light-weight
-    monitor subscribed to every submitted domain.  The resulting span
-    events are assembled into a :class:`~repro.obs.TraceStore` and
-    decomposed into the paper's Sec. 6 timeline — submit → SCT signed →
-    merge/STH published → inclusion verified → first monitor detection
-    — **from spans alone**.  The assembly is checked end to end: zero
-    orphan spans (every server span's parent resolves to a recorded
-    client span across the process boundary) and the replayed event log
-    rebuilds an identical store.  ``--lifecycle-out FILE`` writes the
-    timelines as JSON.
+    Serves a sequencer-backed storm world with a seeded tracer (every
+    hop propagates the trace context through the ``X-Repro-Traceparent``
+    header), then polls a traced light-weight monitor subscribed to
+    every submitted domain.  The world's exit check assembles the spans
+    (zero orphans, an identical event replay); they decompose into the
+    paper's Sec. 6 timeline — submit → SCT signed → merge/STH published
+    → inclusion verified → first monitor detection — **from spans
+    alone**.  ``--lifecycle-out FILE`` writes the timelines as JSON.
     """
     from datetime import datetime, timezone
 
     from repro.ct.monitor import HttpTransport, LightweightMonitor
-    from repro.ct.server import LogServer
-    from repro.ct.storage import certificate_from_dict
     from repro.obs import (
         EventLog,
         SpanTracer,
-        TraceStore,
         certificate_lifecycles,
-        read_events,
         render_lifecycles,
     )
-    from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
 
-    events = args.events if args.events_out else EventLog(tail_size=16384)
+    # Without --events-out the run's events stay in memory, all of
+    # them: the replay check reads every event, not a recent window.
+    events = args.events if args.events_out else EventLog(tail_size=sys.maxsize)
     tracer = SpanTracer(seed=args.seed, name="lifecycle", events=events)
-    log = _seeded_ct_log(args.seed, args.log_entries)
-    merge_interval = (
-        args.merge_interval if args.merge_interval is not None else 0.05
-    )
-    config = LoadStormConfig(
-        seed=args.seed,
-        browsers=args.browsers,
-        monitors=args.monitors,
-        submitters=args.submitters,
-    )
-    plans = plan_storm(config, log)
-    submitted_domains = sorted(
-        {
-            name
-            for plan in plans
-            for op in plan.ops
-            if op.kind == "add_pre_chain" and op.chain
-            for name in certificate_from_dict(dict(op.chain[0])).dns_names()
-        }
-    )
-    with LogServer(
-        log,
-        host=args.host,
-        metrics=args.metrics,
-        events=events,
-        merge_interval=merge_interval,
-        max_batch=args.max_batch,
-        tracer=tracer,
-    ) as server:
-        report = run_storm(
-            plans,
-            server.log_url(log.name),
-            executor=args.executor,
-            workers=args.workers if args.workers > 1 else 8,
-            trace_seed=args.seed,
-        )
-        server.drain_writes()
+    merge_interval = 0.05 if args.merge_interval is None else args.merge_interval
+    spec = _storm_scenario(args, merge_interval=merge_interval)
+    with spec.serve(
+        host=args.host, metrics=args.metrics, events=events, tracer=tracer
+    ) as world:
+        world.storm()
         monitor = LightweightMonitor(
             "lifecycle-monitor",
-            submitted_domains or ("none.example",),
-            key=log.key,
+            world.submitted_domains() or ("none.example",),
+            key=world.log.key,
             tracer=tracer,
         )
         transport = HttpTransport(
-            server.log_url(log.name),
-            log.name,
+            world.url,
+            world.log.name,
             timeout=30.0,
             client_id="lifecycle-monitor",
             tracer=tracer,
         )
         monitor.poll(transport, datetime.now(timezone.utc))
         transport.close()
-    # Ship every storm worker's client spans home: record_remote files
-    # them on the coordinating tracer *and* re-emits them as ``span``
-    # events, so the event log is the complete cross-process record.
-    for result in report.results:
-        for record in result.spans:
-            tracer.record_remote(record)
-    store = TraceStore()
-    store.add_many(tracer.to_records())
-    orphans = store.orphan_spans()
-    if args.events_out:
-        replayed = TraceStore.from_events(read_events(args.events_out))
-    else:
-        replayed = TraceStore.from_events(events.tail(events.emitted))
-    replay_identical = replayed == store
+    # Leaving the world checked the assembly: no orphan span, and the
+    # replayed events rebuild this very store.
+    store = world.trace_store
     lifecycles = certificate_lifecycles(store)
-    complete = sum(1 for item in lifecycles if item["complete"])
     if args.lifecycle_out:
         _write_json_artifact(
             args.lifecycle_out,
@@ -787,75 +698,48 @@ def cmd_lifecycle(args) -> str:
                 "version": 1,
                 "seed": args.seed,
                 "certificates": lifecycles,
-                "complete": complete,
+                "complete": sum(1 for item in lifecycles if item["complete"]),
                 "traces": len(store.trace_ids()),
                 "spans": len(store),
-                "orphan_spans": len(orphans),
-                "replay_identical": replay_identical,
+                "orphan_spans": 0,
+                "replay_identical": True,
             },
         )
-    lines = [
-        f"Certificate lifecycle — seed {args.seed}, "
-        f"{config.clients} clients, merge every {merge_interval}s",
-        "",
-        render_lifecycles(lifecycles),
-        "",
-        f"traces: {len(store.trace_ids())}  spans: {len(store)}  "
-        f"orphans: {len(orphans)}  "
-        f"replay: {'identical' if replay_identical else 'DIVERGED'}",
-    ]
-    if orphans or not replay_identical:
-        raise AssertionError(
-            f"trace assembly broken: {len(orphans)} orphan spans, "
-            f"replay identical={replay_identical}"
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        [
+            f"Certificate lifecycle — seed {args.seed}, "
+            f"{spec.storm.clients} clients, merge every {merge_interval}s",
+            "",
+            render_lifecycles(lifecycles),
+            "",
+            f"traces: {len(store.trace_ids())}  spans: {len(store)}  "
+            "orphans: 0  replay: identical",
+        ]
+    )
 
 
 def cmd_gossip(args) -> str:
     """Demonstrate wire-level STH gossip catching a split-view log.
 
-    Seeds a log, builds a fully servable equivocating twin (same size,
-    diverging tail), and mounts both as one
-    :class:`~repro.ct.server.SplitView`: clients on one side of the
-    partition read the honest view, clients on the other side the twin.
-    A read-only seeded storm (browsers + monitors, no submitters) then
-    hits the server, every client's fetched STH is gossiped into a
-    :class:`~repro.ct.auditor.GossipPool`, and the detected
-    equivocation surfaces as split-view incidents.  ``--gossip-out
-    FILE`` writes the storm report plus the incidents as JSON.
+    Serves a split-view storm world: clients on one side of the
+    partition read the honest log, the others its equivocating twin
+    (same size, diverging tail).  After a read-only storm (browsers +
+    monitors; ``--submitters`` is ignored) every client's fetched STH is
+    gossiped into a :class:`~repro.ct.auditor.GossipPool`, and the
+    detected equivocation surfaces as split-view incidents.
+    ``--gossip-out FILE`` writes the storm report plus the incidents as
+    JSON.
     """
-    from repro.ct.auditor import GossipPool, make_split_view_log
-    from repro.ct.server import LogServer, SplitView
+    from repro.ct.auditor import GossipPool
     from repro.workloads.incidents import split_view_incidents
-    from repro.workloads.loadgen import (
-        LoadStormConfig,
-        gossip_storm_sths,
-        plan_storm,
-        run_storm,
-    )
+    from repro.workloads.loadgen import gossip_storm_sths
 
-    log = _seeded_ct_log(args.seed, args.log_entries)
-    twin = make_split_view_log(log, fork_at=log.size // 2, pad_to=log.size)
-    config = LoadStormConfig(
-        seed=args.seed,
-        browsers=args.browsers,
-        monitors=args.monitors,
-        submitters=0,
-    )
-    plans = plan_storm(config, log)
-    with LogServer(
-        SplitView(log, twin),
-        host=args.host,
-        metrics=args.metrics,
-        events=args.events,
-    ) as server:
-        report = run_storm(
-            plans,
-            server.log_url(log.name),
-            executor=args.executor,
-            workers=args.workers if args.workers > 1 else 8,
-        )
+    spec = _storm_scenario(args, submitters=0, split_view=True)
+    with spec.serve(
+        host=args.host, metrics=args.metrics, events=args.events
+    ) as world:
+        report = world.storm()
+    log = world.log
     pool = GossipPool(
         {log.name: log.key}, metrics=args.metrics, events=args.events
     )
@@ -875,18 +759,15 @@ def cmd_gossip(args) -> str:
     lines = [
         report.render(),
         f"Gossip — {pool.sths_gossiped} STHs gossiped by "
-        f"{config.clients} clients:",
+        f"{spec.storm.clients} clients:",
     ]
-    if incidents:
-        for incident in incidents:
-            lines.append(
-                f"  SPLIT VIEW detected on {incident.log_name!r} at tree "
-                f"size {incident.tree_size}: {incident.first_reporter} saw "
-                f"{incident.first_root[:16]}…, {incident.second_reporter} "
-                f"saw {incident.second_root[:16]}…"
-            )
-    else:
-        lines.append("  no equivocation detected")
+    lines += [
+        f"  SPLIT VIEW detected on {incident.log_name!r} at tree "
+        f"size {incident.tree_size}: {incident.first_reporter} saw "
+        f"{incident.first_root[:16]}…, {incident.second_reporter} "
+        f"saw {incident.second_root[:16]}…"
+        for incident in incidents
+    ] or ["  no equivocation detected"]
     return "\n".join(lines)
 
 
@@ -937,7 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the sharded analysis passes "
-        "(1 = serial fallback; outputs are identical either way)",
+        "(1 = serial fallback; outputs are identical either way); "
+        "storm commands run N > 1 clients at once, else 8",
     )
     parser.add_argument(
         "--shard-size",
@@ -998,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--events-out",
         metavar="FILE",
         default=None,
-        help="append a structured JSONL event log (run/shard lifecycle, "
+        help="write a structured JSONL event log (run/shard lifecycle, "
         "retries, degradation, per-log fetch outcomes) to FILE, "
         "flushed line-by-line while the run is live; stdout is "
         "unchanged",
@@ -1020,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
         "at /analytics",
     )
     server_group = parser.add_argument_group(
-        "log server / load storm options (serve, loadstorm)"
+        "log server / storm options (serve, loadstorm, lifecycle, gossip)"
     )
     server_group.add_argument(
         "--host",
@@ -1031,8 +913,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--port",
         type=int,
         default=0,
-        help="port for `serve` (0 = ephemeral; loadstorm always uses "
-        "an ephemeral port)",
+        help="port for `serve` (0 = ephemeral; the storm commands always "
+        "use an ephemeral port)",
     )
     server_group.add_argument(
         "--duration-s",
@@ -1051,41 +933,43 @@ def build_parser() -> argparse.ArgumentParser:
         "--browsers",
         type=int,
         default=6,
-        help="(loadstorm) SCT-auditing browser clients (default 6)",
+        help="(loadstorm, lifecycle, gossip) SCT-auditing browsers (default 6)",
     )
     server_group.add_argument(
         "--monitors",
         type=int,
         default=2,
-        help="(loadstorm) tailing monitor clients (default 2)",
+        help="(loadstorm, lifecycle, gossip) tailing monitors (default 2)",
     )
     server_group.add_argument(
         "--submitters",
         type=int,
         default=2,
-        help="(loadstorm) bursty CA submitter clients (default 2)",
+        help="(loadstorm, lifecycle) bursty CA submitter clients "
+        "(default 2; gossip storms are read-only)",
     )
     server_group.add_argument(
         "--executor",
         choices=["thread", "process", "serial"],
         default="thread",
-        help="(loadstorm) client concurrency mode (default thread)",
+        help="(loadstorm, lifecycle, gossip) client concurrency mode "
+        "(default thread)",
     )
     server_group.add_argument(
         "--merge-interval",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="(serve, loadstorm) batch writes through the MMD sequencer, "
-        "merging pending submissions every SECONDS (default: per-entry "
-        "writes, no sequencer)",
+        help="(serve, loadstorm, lifecycle) batch writes through the MMD "
+        "sequencer, merging pending submissions every SECONDS (default: "
+        "per-entry writes, no sequencer; lifecycle defaults to 0.05)",
     )
     server_group.add_argument(
         "--max-batch",
         type=int,
         default=256,
         metavar="N",
-        help="(serve, loadstorm) max submissions folded into the Merkle "
+        help="(serve, loadstorm, lifecycle) max submissions folded into the Merkle "
         "tree per merge when --merge-interval is set (default 256)",
     )
     server_group.add_argument(

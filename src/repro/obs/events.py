@@ -100,7 +100,8 @@ class EventLog:
     Parameters
     ----------
     path:
-        Optional JSONL file; each event is written as one
+        Optional JSONL file, overwritten (like every other artifact
+        file); each event is written as one
         ``json.dumps(..., sort_keys=True)`` line and flushed
         immediately, so the file is tail-able while the run is live.
         With ``path=None`` events only fill the in-memory ring.
@@ -135,7 +136,7 @@ class EventLog:
         self._seq = 0
         self._tail: Deque[Dict[str, object]] = deque(maxlen=tail_size)
         self._file: Optional[TextIO] = (
-            open(self.path, "a", encoding="utf-8")
+            open(self.path, "w", encoding="utf-8")
             if self.path is not None
             else None
         )

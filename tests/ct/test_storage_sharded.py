@@ -11,7 +11,6 @@ import os
 
 import pytest
 
-from repro import cli
 from repro.ct import storage
 from repro.ct.log import CTLog
 from repro.ct.storage import (
@@ -27,6 +26,7 @@ from repro.obs import MetricsRegistry
 from repro.pipeline import PipelineEngine, analyze_harvest_sections
 from repro.pipeline.harvest import SECTIONS_PASS
 from repro.resilience import DegradedResult
+from repro.workloads.scenario import seeded_log
 from repro.x509.ca import IssuanceRequest
 
 # CI's fault-injection job pins one pool executor per matrix leg via
@@ -312,7 +312,7 @@ class TestCheckpointFaultAccounting:
 def duplicated_harvest(tmp_path):
     """12 entries, entry 3's line written twice (a resumed writer)."""
     path = tmp_path / "dup.jsonl"
-    dump_log(cli._seeded_ct_log(1, 12), path)
+    dump_log(seeded_log(1, 12), path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:4] + [lines[3]] + lines[4:]), encoding="utf-8")
     return path

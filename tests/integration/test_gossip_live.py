@@ -26,12 +26,8 @@ from repro.ct.server import (
 )
 from repro.util.timeutil import utc_datetime
 from repro.workloads.incidents import split_view_incidents
-from repro.workloads.loadgen import (
-    LoadStormConfig,
-    gossip_storm_sths,
-    plan_storm,
-    run_storm,
-)
+from repro.workloads.loadgen import LoadStormConfig, gossip_storm_sths
+from repro.workloads.scenario import Scenario
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
 
 NOW = utc_datetime(2018, 5, 1, 10, 0)
@@ -140,46 +136,19 @@ def test_lightweight_monitor_catches_the_swap(split_served):
     assert monitor.findings[0].kind == "inconsistent-history"
 
 
-def test_storm_gossip_detects_split_view(split_served):
-    server, log, twin = split_served
-    config = LoadStormConfig(
-        seed=2018, browsers=6, monitors=2, submitters=0,
-        audits_per_browser=2, pages_per_monitor=2,
-    )
-    plans = plan_storm(config, log)
-    report = run_storm(plans, server.log_url(log.name), executor="thread")
-    assert report.transport_errors == 0
-    pool = GossipPool({log.name: log.key})
-    findings = gossip_storm_sths(report, pool, log.name)
-    assert findings, "partitioned storm clients must expose the fork"
-    assert pool.sths_gossiped >= config.clients
-    incidents = split_view_incidents(pool)
-    assert len(incidents) == 1
-    incident = incidents[0]
-    assert incident.log_name == log.name
-    assert incident.tree_size == log.size
-    assert {incident.first_root, incident.second_root} == {
-        log.tree.root().hex(), twin.tree.root().hex()
-    }
-    payload = incident.to_dict()
-    assert payload["kind"] == "split-view"
-    assert payload["first_reporter"] != payload["second_reporter"]
-
-
 def test_honest_mount_still_gossips_clean():
-    log = _build_log(name="Honest Gossip Log")
-    with LogServer(log) as server:
-        config = LoadStormConfig(
+    spec = Scenario(
+        log_entries=12,
+        storm=LoadStormConfig(
             seed=7, browsers=4, monitors=2, submitters=0,
             audits_per_browser=2, pages_per_monitor=2,
-        )
-        report = run_storm(
-            plan_storm(config, log), server.log_url(log.name),
-            executor="thread",
-        )
-    assert report.transport_errors == 0
-    pool = GossipPool({log.name: log.key})
-    assert gossip_storm_sths(report, pool, log.name) == []
+        ),
+    )
+    # Leaving the world checks zero transport errors.
+    with spec.serve() as world:
+        report = world.storm()
+    pool = GossipPool({world.log.name: world.log.key})
+    assert gossip_storm_sths(report, pool, world.log.name) == []
     assert pool.clean
     assert split_view_incidents(pool) == []
 

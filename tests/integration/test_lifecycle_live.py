@@ -13,15 +13,11 @@ event log must rebuild an identical :class:`~repro.obs.TraceStore`.
 import json
 import urllib.error
 import urllib.request
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import pytest
 
-from repro.ct.log import CTLog
-from repro.ct.loglist import log_key
 from repro.ct.monitor import HttpTransport, LightweightMonitor
-from repro.ct.server import LogServer
-from repro.ct.storage import certificate_from_dict
 from repro.obs import (
     EventLog,
     SpanTracer,
@@ -30,11 +26,15 @@ from repro.obs import (
     certificate_lifecycles,
     render_lifecycles,
 )
-from repro.util.timeutil import utc_datetime
-from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
-from repro.x509.ca import CertificateAuthority, IssuanceRequest
+from repro.workloads.loadgen import LoadStormConfig
+from repro.workloads.scenario import Scenario
 
 SEED = 2018
+SCENARIO = Scenario(
+    log_entries=4,
+    storm=LoadStormConfig(seed=SEED, browsers=2, monitors=1, submitters=2),
+    merge_interval=0.05,
+)
 
 
 def _get(url):
@@ -47,56 +47,27 @@ def traced_run():
     """One traced storm + monitor poll, shared across the module."""
     events = EventLog(tail_size=16384)
     tracer = SpanTracer(seed=SEED, name="lifecycle", events=events)
-    log = CTLog(
-        name="Lifecycle Log", operator="Repro", key=log_key("Lifecycle Log", 256)
-    )
-    ca = CertificateAuthority("Lifecycle CA", key_bits=256)
-    issued = utc_datetime(2018, 5, 1, 12, 0)
-    for i in range(4):
-        ca.issue(
-            IssuanceRequest((f"seed{i}.lifecycle.example",)), [log],
-            issued + timedelta(minutes=i),
-        )
-    config = LoadStormConfig(seed=SEED, browsers=2, monitors=1, submitters=2)
-    plans = plan_storm(config, log)
-    chains = [
-        certificate_from_dict(dict(op.chain[0])).dns_names()
-        for plan in plans
-        for op in plan.ops
-        if op.kind == "add_pre_chain" and op.chain
-    ]
-    # The monitor watches every claimed name; lifecycles key off each
-    # certificate's primary (first) name, mirroring the span attrs.
-    all_names = sorted({name for names in chains for name in names})
-    submitted = sorted({names[0] for names in chains if names})
-    with LogServer(
-        log, events=events, merge_interval=0.05, tracer=tracer
-    ) as server:
-        report = run_storm(
-            plans, server.log_url(log.name), trace_seed=SEED
-        )
-        server.drain_writes()
+    with SCENARIO.serve(events=events, tracer=tracer) as world:
+        report = world.storm()
+        # The monitor watches every claimed name; lifecycles key off
+        # each certificate's primary (first) name, the ``www.``-less one.
+        names = world.submitted_domains()
         monitor = LightweightMonitor(
-            "itest-monitor", all_names, key=log.key, tracer=tracer
+            "itest-monitor", names, key=world.log.key, tracer=tracer
         )
         transport = HttpTransport(
-            server.log_url(log.name),
-            log.name,
+            world.url,
+            world.log.name,
             timeout=30.0,
             client_id="itest-monitor",
             tracer=tracer,
         )
         monitor.poll(transport, datetime.now(timezone.utc))
-    for result in report.results:
-        for record in result.spans:
-            tracer.record_remote(record)
-    store = TraceStore()
-    store.add_many(tracer.to_records())
     return {
-        "store": store,
+        "store": world.trace_store,
         "events": events,
         "report": report,
-        "submitted": submitted,
+        "submitted": [name for name in names if not name.startswith("www.")],
     }
 
 

@@ -46,7 +46,8 @@ from repro.dataset import CertCorpus
 from repro.obs import TRACEPARENT_HEADER, EventLog, MetricsRegistry, SpanTracer
 from repro.resilience import DEFAULT_RETRYABLE
 from repro.util.timeutil import utc_datetime
-from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
+from repro.workloads.loadgen import LoadStormConfig
+from repro.workloads.scenario import Scenario
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
 
 NOW = utc_datetime(2018, 5, 1, 10, 0)
@@ -251,36 +252,30 @@ def test_harvest_pinned_to_sth_while_log_grows_concurrently():
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_storm_burst_under_both_executors(executor):
-    log = _build_log(entries=8)
-    config = LoadStormConfig(
-        seed=11,
-        browsers=2,
-        monitors=1,
-        submitters=1,
-        audits_per_browser=3,
-        pages_per_monitor=2,
-        page_size=4,
-        submissions_per_submitter=3,
-        # One await_inclusion op fans out into many polls; keep the
-        # request count exact so the middleware tally below stays 1:1.
-        await_inclusion=False,
+    spec = Scenario(
+        log_entries=8,
+        storm=LoadStormConfig(
+            seed=11, browsers=2, monitors=1, submitters=1,
+            audits_per_browser=3, pages_per_monitor=2, page_size=4,
+            submissions_per_submitter=3,
+            # One await_inclusion op fans out into many polls; keep the
+            # request count exact so the middleware tally below stays 1:1.
+            await_inclusion=False,
+        ),
+        executor=executor,
+        workers=4,
     )
-    plans = plan_storm(config, log)
     metrics = MetricsRegistry()
     events = EventLog()
-    with LogServer(
-        log, clock=lambda: NOW, metrics=metrics, events=events
-    ) as server:
-        report = run_storm(
-            plans, server.log_url(log.name), executor=executor, workers=4
-        )
+    # Leaving the world checks zero transport errors and every read
+    # verified.
+    with spec.serve(metrics=metrics, events=events) as world:
+        report = world.storm()
 
     assert report.executor == executor
-    assert report.transport_errors == 0
-    assert report.verification_failures == 0
-    assert report.submissions_ok == config.planned_submissions
-    assert report.reads_ok == sum(plan.reads for plan in plans)
-    assert log.size == 8 + config.planned_submissions
+    assert report.submissions_ok == spec.storm.planned_submissions
+    assert report.reads_ok == sum(plan.reads for plan in world.plans)
+    assert world.log.size == 8 + spec.storm.planned_submissions
 
     # The middleware saw every request the clients made.
     total_ops = sum(len(result.ops) for result in report.results)

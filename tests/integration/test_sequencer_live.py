@@ -26,7 +26,8 @@ from repro.ct.sct import precert_signing_input
 from repro.ct.server import LogClient, LogClientError, LogServer
 from repro.obs import EventLog, MetricsRegistry
 from repro.util.timeutil import utc_datetime
-from repro.workloads.loadgen import LoadStormConfig, plan_storm, run_storm
+from repro.workloads.loadgen import LoadStormConfig
+from repro.workloads.scenario import Scenario
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
 
 NOW = utc_datetime(2018, 5, 1, 10, 0)
@@ -199,39 +200,28 @@ def test_submitters_race_readers_across_sharded_logs():
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_batched_storm_under_both_executors(executor):
-    log = _build_log("Batched Storm Log", entries=8)
-    config = LoadStormConfig(
-        seed=13,
-        browsers=2,
-        monitors=1,
-        submitters=2,
-        audits_per_browser=3,
-        pages_per_monitor=2,
-        page_size=4,
-        submissions_per_submitter=4,
-        timeout_s=60.0,
+    spec = Scenario(
+        log_entries=8,
+        storm=LoadStormConfig(
+            seed=13, browsers=2, monitors=1, submitters=2,
+            audits_per_browser=3, pages_per_monitor=2, page_size=4,
+            submissions_per_submitter=4, timeout_s=60.0,
+        ),
+        merge_interval=0.02,
+        max_batch=8,
+        executor=executor,
+        workers=5,
     )
-    plans = plan_storm(config, log)
-    with LogServer(
-        log, clock=lambda: NOW, merge_interval=0.02, max_batch=8
-    ) as server:
-        report = run_storm(
-            plans,
-            server.log_url(log.name),
-            executor=executor,
-            workers=5,
-            timeout_s=60.0,
-        )
-        server.drain_writes()
+    # Leaving the world checks that every read verified and every
+    # submitter saw all of its leaves merged and proven.
+    with spec.serve() as world:
+        report = world.storm()
 
+    log = world.log
     assert report.executor == executor
-    assert report.transport_errors == 0
-    assert report.verification_failures == 0
-    assert report.submissions_ok == config.planned_submissions
-    # Every submitter saw all of its leaves merged and proven.
-    assert report.inclusions_verified == config.submitters
+    assert report.submissions_ok == spec.storm.planned_submissions
     assert report.merge_lag_max_s > 0.0
-    assert log.size == 8 + config.planned_submissions
+    assert log.size == 8 + spec.storm.planned_submissions
     assert len({e.leaf_input for e in log.entries}) == log.size
 
 

@@ -412,3 +412,24 @@ def test_loadstorm_serial_executor_matches_population(capsys):
     assert code == 0
     assert "serial pool" in output
     assert "2 clients" in output
+
+
+
+def test_lifecycle_replays_every_event_of_a_large_storm(capsys):
+    # Over 16k events: more than a bounded in-memory ring would hold.
+    argv = ("--browsers", "400", "--monitors", "60", "--submitters", "20")
+    code, output = run_cli(capsys, "lifecycle", *argv)
+    assert code == 0
+    assert output.rstrip().endswith("orphans: 0  replay: identical")
+
+
+def test_events_out_overwrites_like_every_other_out_file(capsys, tmp_path):
+    from repro.obs import read_events, replay_counters
+
+    events, metrics = tmp_path / "events.jsonl", tmp_path / "metrics.json"
+    argv = ("--metrics-out", str(metrics), "--events-out", str(events))
+    assert run_cli(capsys, "status", *argv)[0] == run_cli(capsys, "status", *argv)[0] == 0
+    replayed = replay_counters(read_events(events))
+    assert [e["kind"] for e in read_events(events)].count("run_start") == 1
+    counters = MetricsSnapshot.from_json(metrics.read_text()).counters
+    assert replayed and {key: counters.get(key) for key in replayed} == replayed

@@ -4,8 +4,6 @@ import pickle
 
 import pytest
 
-from repro.ct.log import CTLog
-from repro.ct.loglist import log_key
 from repro.util.timeutil import utc_datetime
 from repro.workloads.loadgen import (
     READ_OPS,
@@ -16,23 +14,13 @@ from repro.workloads.loadgen import (
     plan_storm,
     run_storm,
 )
-from repro.x509.ca import CertificateAuthority, IssuanceRequest
+from repro.workloads.scenario import seeded_log
 
 NOW = utc_datetime(2018, 5, 1, 10, 0)
 
 
-def _seeded_log(entries=10):
-    log = CTLog(
-        name="Plan Log", operator="T", key=log_key("Plan Log", 256)
-    )
-    ca = CertificateAuthority("Plan CA", key_bits=256)
-    for i in range(entries):
-        ca.issue(IssuanceRequest((f"p{i}.example",)), [log], NOW)
-    return log
-
-
 def test_plans_are_deterministic_and_seed_sensitive():
-    log = _seeded_log()
+    log = seeded_log(1, 10)
     config = LoadStormConfig(seed=5, browsers=2, monitors=1, submitters=1)
     assert plan_storm(config, log) == plan_storm(config, log)
     other = LoadStormConfig(seed=6, browsers=2, monitors=1, submitters=1)
@@ -40,7 +28,7 @@ def test_plans_are_deterministic_and_seed_sensitive():
 
 
 def test_plan_population_matches_config():
-    log = _seeded_log()
+    log = seeded_log(1, 10)
     config = LoadStormConfig(
         seed=3,
         browsers=3,
@@ -80,7 +68,7 @@ def test_plan_population_matches_config():
 
 
 def test_await_inclusion_can_be_disabled():
-    log = _seeded_log()
+    log = seeded_log(1, 10)
     config = LoadStormConfig(
         seed=3, browsers=0, monitors=0, submitters=2,
         submissions_per_submitter=4, await_inclusion=False,
@@ -99,7 +87,7 @@ def test_monitor_pages_pinned_to_seed_tree_size():
     planner must clamp every page to the seed window and pin its
     ``tree_size`` so execution can reject any over-answer.
     """
-    log = _seeded_log(entries=10)
+    log = seeded_log(1, 10)
     config = LoadStormConfig(
         seed=9,
         browsers=0,
@@ -123,7 +111,7 @@ def test_monitor_pages_pinned_to_seed_tree_size():
 
 
 def test_plans_are_picklable_for_process_executor():
-    log = _seeded_log(entries=4)
+    log = seeded_log(1, 4)
     config = LoadStormConfig(
         seed=1, browsers=1, monitors=1, submitters=1,
         audits_per_browser=1, pages_per_monitor=1,
@@ -134,9 +122,8 @@ def test_plans_are_picklable_for_process_executor():
 
 
 def test_plan_storm_rejects_empty_log():
-    log = CTLog(name="Empty", operator="T", key=log_key("Empty", 256))
     with pytest.raises(ValueError, match="seeded"):
-        plan_storm(LoadStormConfig(), log)
+        plan_storm(LoadStormConfig(), seeded_log(1, 0))
 
 
 def test_run_storm_rejects_unknown_executor():
@@ -302,7 +289,7 @@ def test_gossip_storm_sths_skips_failed_and_foreign_ops():
     from repro.ct.auditor import GossipPool
     from repro.workloads.loadgen import gossip_storm_sths
 
-    log = _seeded_log(entries=4)
+    log = seeded_log(1, 4)
     sth = log.get_sth(NOW)
     body = {
         "tree_size": sth.tree_size,
