@@ -24,12 +24,19 @@ import urllib.request
 
 from conftest import EVOLUTION_SCALE, record_artifact
 
-from repro.dataset import CertCorpus, LiveAnalytics, section2_graph, sections_graph
-from repro.dataset.sections import (
-    corpus_growth,
-    corpus_leakage,
-    corpus_matrix,
-    corpus_rates,
+from repro.dataset import (
+    CertCorpus,
+    LiveAnalytics,
+    PassGraph,
+    growth_extractor,
+    growth_pass,
+    leakage_extractor,
+    leakage_pass,
+    matrix_extractor,
+    matrix_pass,
+    rates_pass,
+    section2_graph,
+    sections_graph,
 )
 from repro.obs import MetricsRegistry, TelemetryServer
 from repro.workloads.loadgen import LoadStormConfig
@@ -42,6 +49,12 @@ TRIALS = 2
 APPEND_TARGET = 10.0
 APPEND_BATCHES = 40
 SCRAPE_EVERY = 8
+
+
+def _single_pass(extractor, section):
+    """One section as its own corpus scan: the layout fusion replaces."""
+    graph = PassGraph().add_extractor(extractor).add_pass(section)
+    return lambda corpus: graph.run(corpus.iter_records())[section.name]
 
 
 def _timed(fn):
@@ -63,10 +76,10 @@ def test_bench_dataset_fused_traversal(evolution_run, request):
     bytes_per_record = snapshot.gauge("dataset.bytes_per_record")
 
     sections = {
-        "growth": corpus_growth,
-        "rates": corpus_rates,
-        "matrix": corpus_matrix,
-        "leakage": corpus_leakage,
+        "growth": _single_pass(growth_extractor(), growth_pass()),
+        "rates": _single_pass(growth_extractor(), rates_pass()),
+        "matrix": _single_pass(matrix_extractor("2018-04"), matrix_pass()),
+        "leakage": _single_pass(leakage_extractor(), leakage_pass()),
     }
     separate = {}
     separate_seconds = {}

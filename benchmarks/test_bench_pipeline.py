@@ -19,8 +19,9 @@ import time
 from conftest import DOMAIN_SCALE, record_artifact
 
 from repro.core import leakage
+from repro.dataset import CertCorpus, analyze, fqdn_graph, sections_graph
 from repro.obs import MetricsRegistry, SpanTracer
-from repro.pipeline import PipelineEngine, leakage_names
+from repro.pipeline import PipelineEngine
 
 BENCH_WORKERS = 4
 SPEEDUP_TARGET = 2.0
@@ -29,6 +30,10 @@ OVERHEAD_CEILING = 0.05
 #: 2-vCPU host (see CHANGES.md).
 TWO_WORKER_SPEEDUP = 1.15
 REPEATS = 3
+
+
+def _leakage(names, engine, psl):
+    return analyze(names, fqdn_graph(psl), engine)["leakage"]
 
 
 def _timed(fn):
@@ -50,7 +55,7 @@ def test_bench_pipeline_table2(domain_corpus, request):
     for _ in range(1 if smoke else REPEATS):
         serial_stats, seconds = _timed(lambda: leakage.analyze_names(names, psl))
         serial_runs.append(seconds)
-        parallel_stats, seconds = _timed(lambda: leakage_names(names, engine, psl))
+        parallel_stats, seconds = _timed(lambda: _leakage(names, engine, psl))
         parallel_runs.append(seconds)
         registry = MetricsRegistry()
         instrumented = PipelineEngine(
@@ -60,7 +65,7 @@ def test_bench_pipeline_table2(domain_corpus, request):
             tracer=SpanTracer(),
         )
         instrumented_stats, seconds = _timed(
-            lambda: leakage_names(names, instrumented, psl)
+            lambda: _leakage(names, instrumented, psl)
         )
         instrumented_runs.append(seconds)
         # The point of the exercise: sharding must not change a single
@@ -132,7 +137,7 @@ def test_bench_pipeline_table2_two_workers(domain_corpus, request):
     for _ in range(1 if smoke else REPEATS):
         serial_stats, seconds = _timed(lambda: leakage.analyze_names(names, psl))
         serial_runs.append(seconds)
-        parallel_stats, seconds = _timed(lambda: leakage_names(names, engine, psl))
+        parallel_stats, seconds = _timed(lambda: _leakage(names, engine, psl))
         parallel_runs.append(seconds)
         assert parallel_stats == serial_stats
 
@@ -167,21 +172,25 @@ def test_bench_pipeline_table2_two_workers(domain_corpus, request):
 def test_bench_pipeline_checkpoint_resume(tmp_path, fresh_harvest_log):
     """Resuming from a checkpoint re-runs zero shards."""
     from repro.ct.storage import dump_log
-    from repro.pipeline import analyze_harvest_sections
+
+    def sections(engine=None, checkpoint=False):
+        engine = engine or PipelineEngine()
+        corpus = CertCorpus.from_stored(path, metrics=engine.metrics)
+        return analyze(corpus, sections_graph(), engine, checkpoint=checkpoint)
 
     path = tmp_path / "harvest.jsonl"
     dump_log(fresh_harvest_log, path)
     engine = PipelineEngine(workers=2, shard_size=8)
 
     _, cold_seconds = _timed(
-        lambda: analyze_harvest_sections(path, engine, checkpoint=True)
+        lambda: sections(engine, checkpoint=True)
     )
     registry = MetricsRegistry()
     warm_engine = PipelineEngine(workers=2, shard_size=8, metrics=registry)
     resumed, warm_seconds = _timed(
-        lambda: analyze_harvest_sections(path, warm_engine, checkpoint=True)
+        lambda: sections(warm_engine, checkpoint=True)
     )
-    assert resumed["leakage"] == analyze_harvest_sections(path)["leakage"]
+    assert resumed["leakage"] == sections()["leakage"]
     snapshot = registry.snapshot()
     hit_rate = snapshot.gauge("pipeline.checkpoint_hit_rate")
     assert hit_rate == 1.0  # every shard came from the sidecar

@@ -12,7 +12,8 @@ import time
 from conftest import record_artifact
 
 from repro.core import leakage
-from repro.pipeline import PipelineEngine, analyze_log_sections
+from repro.dataset import analyze, sections_graph
+from repro.pipeline import PipelineEngine
 from repro.resilience import DegradedResult, FlakyLog, RetryPolicy
 from repro.util.rng import SeededRng
 
@@ -36,8 +37,8 @@ def test_bench_degraded_harvest(fresh_harvest_log):
     retry = RetryPolicy(max_attempts=4, base_delay_s=0.0)
 
     baseline, clean_seconds = _timed(
-        lambda: analyze_log_sections(
-            log, PipelineEngine(workers=1, shard_size=SHARD_SIZE)
+        lambda: analyze(
+            log, sections_graph(), PipelineEngine(workers=1, shard_size=SHARD_SIZE)
         )
     )
 
@@ -49,8 +50,9 @@ def test_bench_degraded_harvest(fresh_harvest_log):
         methods=("get_entries",),
     )
     retried, flaky_seconds = _timed(
-        lambda: analyze_log_sections(
+        lambda: analyze(
             flaky,
+            sections_graph(),
             PipelineEngine(workers=1, shard_size=SHARD_SIZE, retry=retry),
         )
     )
@@ -63,8 +65,9 @@ def test_bench_degraded_harvest(fresh_harvest_log):
         fail_when=_dead_tail,
     )
     degraded, degraded_seconds = _timed(
-        lambda: analyze_log_sections(
+        lambda: analyze(
             dead,
+            sections_graph(),
             PipelineEngine(
                 workers=1,
                 shard_size=SHARD_SIZE,

@@ -45,8 +45,8 @@ def _engine(args):
     """Build the execution engine from the parallelism/resilience flags.
 
     ``--workers 1`` (the default) is the serial fallback: analyses run
-    the original single-threaded code and parallel runs are guaranteed
-    to produce the same bytes.  ``--retries``/``--backoff`` attach a
+    one shard of the same graph, and parallel runs are guaranteed to
+    produce the same bytes.  ``--retries``/``--backoff`` attach a
     seeded :class:`~repro.resilience.RetryPolicy` so transient shard
     failures are retried inside the workers, and ``--on-error degrade``
     lets a run whose retries are exhausted complete with partial
@@ -84,36 +84,54 @@ def _engine(args):
     )
 
 
-def _evolution_run(args):
+def _analyze(source, graph, engine):
+    """:func:`repro.dataset.analyze` for an artifact command.
+
+    A degraded run renders the shards that survived; a non-empty
+    degradation report (shards actually lost) goes to stderr.
+    """
+    from repro.dataset import analyze
+    from repro.resilience import DegradedResult
+
+    result = analyze(source, graph, engine)
+    if isinstance(result, DegradedResult):
+        if not result.report.ok:
+            print(f"[degraded] {result.report.summary()}", file=sys.stderr)
+        return result.value
+    return result
+
+
+def _section2(args):
+    """The §2 workload and its Figures 1a-1c, from one fused corpus
+    traversal per shard."""
+    from repro.dataset import CertCorpus, section2_graph
     from repro.workloads.ca_profiles import CaLoggingWorkload
 
-    scale = args.scale or 1e-5
-    return CaLoggingWorkload(
-        scale=scale, end=date(2018, 4, 30), seed=args.seed
+    run = CaLoggingWorkload(
+        scale=args.scale or 1e-5, end=date(2018, 4, 30), seed=args.seed
     ).run()
+    engine = _engine(args)
+    # §2 passes never read the names column; skip it to keep the
+    # corpus (and every pickled view slice) small.
+    corpus = CertCorpus.from_logs(
+        run.logs, with_names=False, metrics=engine.metrics
+    )
+    return run, _analyze(corpus, section2_graph("2018-04"), engine)
 
 
 def cmd_fig1a(args) -> str:
-    from repro.pipeline import evolution_sections
-
-    run = _evolution_run(args)
-    growth = evolution_sections(run.logs, engine=_engine(args))["growth"]
-    return rpt.render_figure1a(growth, weight=run.weight)
+    run, sections = _section2(args)
+    return rpt.render_figure1a(sections["growth"], weight=run.weight)
 
 
 def cmd_fig1b(args) -> str:
-    from repro.pipeline import evolution_sections
-
-    run = _evolution_run(args)
-    rates = evolution_sections(run.logs, engine=_engine(args))["rates"]
-    return rpt.render_figure1b(rates)
+    _, sections = _section2(args)
+    return rpt.render_figure1b(sections["rates"])
 
 
 def cmd_fig1c(args) -> str:
-    from repro.pipeline import evolution_sections
-
-    run = _evolution_run(args)
-    matrix = evolution_sections(run.logs, "2018-04", _engine(args))["matrix"]
+    run, sections = _section2(args)
+    matrix = sections["matrix"]
     load = evolution.log_load_report(run.logs, "2018-04", matrix=matrix)
     return rpt.render_figure1c(matrix) + "\n\n" + rpt.render_log_load(load)
 
@@ -122,14 +140,10 @@ def cmd_sec2(args) -> str:
     """Figures 1a-1c (plus log load) from one fused corpus traversal.
 
     Renders the same bytes as running ``fig1a``, ``fig1b`` and
-    ``fig1c`` separately, but the underlying analysis walks each
-    corpus shard exactly once for all three passes (see
-    :func:`repro.pipeline.evolution_sections`).
+    ``fig1c`` separately; the analysis walks each corpus shard exactly
+    once for all three passes.
     """
-    from repro.pipeline import evolution_sections
-
-    run = _evolution_run(args)
-    sections = evolution_sections(run.logs, "2018-04", _engine(args))
+    run, sections = _section2(args)
     load = evolution.log_load_report(
         run.logs, "2018-04", matrix=sections["matrix"]
     )
@@ -145,15 +159,15 @@ def cmd_sec2(args) -> str:
 
 def _traffic_stats(args):
     from repro.bro.analyzer import BroSctAnalyzer
-    from repro.pipeline import traffic_adoption
+    from repro.dataset import adoption_graph
     from repro.workloads.traffic import UplinkTrafficWorkload
 
     per_day = int(args.scale * 26.5e9 / 393) if args.scale else 400
     workload = UplinkTrafficWorkload(
         connections_per_day=max(50, per_day), seed=args.seed
     )
-    analyzer = BroSctAnalyzer(workload.logs)
-    return traffic_adoption(workload.stream(), analyzer, _engine(args))
+    graph = adoption_graph(BroSctAnalyzer(workload.logs).config())
+    return _analyze(workload.stream(), graph, _engine(args))["adoption"]
 
 
 def cmd_fig2(args) -> str:
@@ -200,19 +214,22 @@ def _domain_corpus(args, default_scale=1 / 2_000):
     return DomainWorkload(scale=args.scale or default_scale, seed=args.seed).build()
 
 
-def cmd_table2(args) -> str:
-    from repro.pipeline import leakage_names
+def _leakage_stats(args, corpus):
+    from repro.dataset import fqdn_graph
 
+    graph = fqdn_graph(corpus.psl)
+    return _analyze(corpus.ct_fqdns, graph, _engine(args))["leakage"]
+
+
+def cmd_table2(args) -> str:
     corpus = _domain_corpus(args, 1 / 1_000)
-    stats = leakage_names(corpus.ct_fqdns, _engine(args), corpus.psl)
+    stats = _leakage_stats(args, corpus)
     return rpt.render_table2(stats, weight=1.0 / corpus.scale)
 
 
 def cmd_sec43(args) -> str:
-    from repro.pipeline import leakage_names
-
     corpus = _domain_corpus(args, 1 / 10_000)
-    stats = leakage_names(corpus.ct_fqdns, _engine(args), corpus.psl)
+    stats = _leakage_stats(args, corpus)
     _, _, result = enumeration.run_enumeration_experiment(
         stats, corpus, seed=args.seed, with_ablations=args.ablations
     )

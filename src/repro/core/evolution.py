@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.ct.log import CTLog
 from repro.ct.sct import SctEntryType
@@ -144,6 +144,14 @@ def matrix_reduce(partials: Iterable[Counter2D]) -> Counter2D:
     return merged
 
 
+def _sections(logs: Dict[str, CTLog], **window: Any) -> Dict[str, Any]:
+    """Figures 1a-1c over the shared columnar corpus, one traversal."""
+    from repro.dataset import CertCorpus, analyze, section2_graph
+
+    corpus = CertCorpus.from_logs(logs, with_names=False)
+    return analyze(corpus, section2_graph(**window))
+
+
 def cumulative_precert_growth(
     logs: Dict[str, CTLog],
     *,
@@ -158,21 +166,14 @@ def cumulative_precert_growth(
     Thin wrapper over the shared columnar corpus (one fused traversal);
     equals ``growth_reduce([growth_map(growth_records(...))])``.
     """
-    from repro.dataset import CertCorpus
-    from repro.dataset.sections import corpus_growth
-
-    corpus = CertCorpus.from_logs(logs, with_names=False)
-    return corpus_growth(corpus, start=start, end=end)
+    return _sections(logs, start=start, end=end)["growth"]
 
 
 def relative_daily_rates(
     logs: Dict[str, CTLog],
 ) -> Dict[date, Dict[str, float]]:
     """Figure 1b: each CA's share of the day's newly logged precerts."""
-    from repro.dataset import CertCorpus
-    from repro.dataset.sections import corpus_rates
-
-    return corpus_rates(CertCorpus.from_logs(logs, with_names=False))
+    return _sections(logs)["rates"]
 
 
 def ca_log_matrix(
@@ -185,12 +186,7 @@ def ca_log_matrix(
     shared columnar corpus; equals
     ``matrix_map(matrix_records(...), month)``.
     """
-    from repro.dataset import CertCorpus
-    from repro.dataset.sections import corpus_matrix
-
-    return corpus_matrix(
-        CertCorpus.from_logs(logs, with_names=False), month
-    )
+    return _sections(logs, month=month)["matrix"]
 
 
 @dataclass(frozen=True)

@@ -172,17 +172,6 @@ def iter_stored_entries(
             yield record
 
 
-def read_tree_head(path: Union[str, Path]) -> dict:
-    """Return a harvest file's tree-head trailer without loading entries."""
-    trailer: Optional[dict] = None
-    for record in iter_stored_entries(path):
-        if record.get("type") == "tree-head":
-            trailer = record
-    if trailer is None:
-        raise LogStorageError("harvest file has no tree-head trailer")
-    return trailer
-
-
 class HarvestCheckpoint:
     """Incremental checkpoint for a sharded analysis of one harvest.
 
@@ -230,26 +219,6 @@ class HarvestCheckpoint:
         self.root_hash = root_hash
         self.metrics = metrics
         self._recorded: Optional[set] = None
-
-    @classmethod
-    def for_harvest(
-        cls,
-        harvest_path: Union[str, Path],
-        pass_name: str,
-        shard_size: int,
-        suffix: str = ".checkpoint",
-        metrics: MetricsRegistry = NULL_METRICS,
-    ) -> "HarvestCheckpoint":
-        """Open the sidecar checkpoint for a harvest file's current state."""
-        trailer = read_tree_head(harvest_path)
-        return cls(
-            Path(str(harvest_path) + suffix),
-            pass_name=pass_name,
-            shard_size=shard_size,
-            tree_size=trailer["tree_size"],
-            root_hash=trailer["root_hash"],
-            metrics=metrics,
-        )
 
     def _header(self) -> dict:
         return {

@@ -15,12 +15,15 @@ section pass:
   mergers, fused so each shard is traversed exactly once;
 * :mod:`repro.dataset.sections` — the §2 (growth/rates/matrix),
   §3 (adoption) and §4 (leakage) passes registered on the graph,
-  wrapping the same fold/reduce primitives the serial analyses use;
-* :mod:`repro.dataset.fused` — engine drivers
-  (:func:`analyze_corpus` / :func:`analyze_records` /
-  :func:`analyze_shards`) that shard a corpus and reduce every pass at
-  once, bit-identically serial or process-pooled, with checkpointed
-  resume through each extractor's partial codec;
+  wrapping the same fold/reduce primitives the serial analyses use,
+  and the prebuilt graphs (:func:`section2_graph`,
+  :func:`sections_graph`, :func:`adoption_graph`, :func:`fqdn_graph`);
+* :mod:`repro.dataset.fused` — :func:`analyze`, the one batch entry
+  point: any graph over a corpus, a stored harvest, a live log or a
+  record stream, sharded on a :class:`repro.pipeline.PipelineEngine`
+  and reduced for every pass at once, bit-identically serial or
+  process-pooled, with checkpointed resume through each extractor's
+  partial codec;
 * :mod:`repro.dataset.live` — :class:`LiveAnalytics`, the incremental
   mode: live extractor states folding ``CertFeed.poll`` batches,
   harvest pages, and :class:`CorpusDelta` windows into the current
@@ -32,17 +35,14 @@ which wears the resilience and obs layers — see README.md.
 """
 
 from repro.dataset.corpus import CertCorpus, CertRecord, CorpusDelta, CorpusView
-from repro.dataset.fused import (
-    analyze_corpus,
-    analyze_records,
-    analyze_shards,
-    fused_shard_task,
-)
+from repro.dataset.fused import LogWindow, analyze, fused_shard_task
 from repro.dataset.graph import Extractor, PassGraph, SectionPass, ShardResult
 from repro.dataset.live import ANALYTICS_SCHEMA_VERSION, LiveAnalytics
 from repro.dataset.sections import (
     adoption_extractor,
+    adoption_graph,
     adoption_pass,
+    fqdn_graph,
     growth_extractor,
     growth_pass,
     leakage_extractor,
@@ -62,16 +62,17 @@ __all__ = [
     "CorpusDelta",
     "CorpusView",
     "LiveAnalytics",
+    "LogWindow",
     "Extractor",
     "PassGraph",
     "SectionPass",
     "ShardResult",
-    "analyze_corpus",
-    "analyze_records",
-    "analyze_shards",
+    "analyze",
     "fused_shard_task",
     "adoption_extractor",
+    "adoption_graph",
     "adoption_pass",
+    "fqdn_graph",
     "growth_extractor",
     "growth_pass",
     "leakage_extractor",

@@ -305,11 +305,13 @@ class CertCorpus:
     decoding views that still support ``len`` / iteration / indexing /
     slicing like the tuples they replaced.
 
-    ``tree_head`` is the harvest trailer a :meth:`from_stored` corpus
-    was read with (``None`` for any other corpus, and after pickling).
+    ``path`` and ``tree_head`` are the harvest file a
+    :meth:`from_stored` corpus was read from and its trailer (``None``
+    for any other corpus, and after pickling).
     """
 
     __slots__ = (
+        "path",
         "tree_head",
         "_issuers",
         "_logs",
@@ -360,6 +362,7 @@ class CertCorpus:
         self._precert_bits: "array[int]" = array("B")
         self._names: List[Tuple[str, ...]] = []
         self._month_memo: Dict[Tuple[int, int], int] = {}
+        self.path: Optional[Path] = None
         self.tree_head: Optional[Dict[str, Any]] = None
         for row in zip(
             issuer_org, serial, day, log_name, month, is_precert, names
@@ -419,6 +422,7 @@ class CertCorpus:
 
         started = time.perf_counter()
         corpus = cls.empty()
+        corpus.path = Path(path)
         seen_indices: Set[object] = set()
         duplicates = 0
         for record in iter_stored_entries(path, metrics=metrics):

@@ -1,19 +1,14 @@
-"""Run a fused pass graph over a corpus, serial or sharded.
+"""One entry point for every batch section result: :func:`analyze`.
 
-One entry point per corpus shape:
-
-* :func:`analyze_corpus` — a :class:`CertCorpus`, sharded into
-  zero-copy :class:`CorpusView` windows, optionally checkpointed;
-* :func:`analyze_records` — any plain record sequence (the §3
-  connection stream, the §4 FQDN list), sharded by index range;
-* :func:`analyze_shards` — shards the caller planned, each a record
-  sequence or any object whose ``iter_records()`` yields the shard's
-  records inside the worker (a corpus view, a live-log index range).
-
-All three hand ``(graph, shard)`` payloads to one shard task on a
-:class:`repro.pipeline.PipelineEngine` and reduce the ordered shard
-partials through the graph, so serial (one shard) and process-pool
-runs produce bit-identical results for every registered pass at once.
+:func:`analyze` folds a :class:`PassGraph` over one source — a
+:class:`CertCorpus` (in memory, or streamed ``from_stored`` out of a
+harvest and optionally checkpointed), a live log read through
+``get_entries``, or a plain record sequence or iterable (the §3
+connection stream, the §4 FQDN list).  It hands ``(graph, shard)``
+payloads to one shard task on a :class:`repro.pipeline.PipelineEngine`
+and reduces the ordered shard partials through the graph, so a serial
+run (one shard) and a process-pool run produce bit-identical results
+for every registered pass at once.
 
 Observability (counted into the engine's
 :class:`repro.obs.MetricsRegistry`):
@@ -28,21 +23,17 @@ Observability (counted into the engine's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.dataset.corpus import CertCorpus
+from repro.ct.storage import HarvestCheckpoint, LogStorageError
+from repro.dataset.corpus import CertCorpus, CertRecord, cert_record, entry_row
 from repro.dataset.graph import PassGraph, ShardResult
 
-if TYPE_CHECKING:  # pipeline imports dataset; keep the reverse edge lazy
+if TYPE_CHECKING:  # live consumers import the dataset layer without the engine
     from repro.pipeline.engine import PipelineEngine
 
 FusedPayload = Tuple[PassGraph, Any]
-
-
-def _default_engine() -> "PipelineEngine":
-    from repro.pipeline.engine import PipelineEngine
-
-    return PipelineEngine()
 
 
 def fused_shard_task(payload: FusedPayload) -> ShardResult:
@@ -52,62 +43,51 @@ def fused_shard_task(payload: FusedPayload) -> ShardResult:
     return graph.run_shard(shard if iter_records is None else iter_records())
 
 
-def analyze_corpus(
-    corpus: CertCorpus,
+@dataclass(frozen=True)
+class LogWindow:
+    """Entries ``[start, stop)`` of a live log: one ``get_entries``
+    call, made when a worker iterates the shard."""
+
+    log: Any
+    start: int
+    stop: int
+
+    def iter_records(self) -> Iterator[CertRecord]:
+        name = self.log.name
+        for entry in self.log.get_entries(self.start, self.stop - 1):
+            yield entry_row(cert_record, name, entry, True)
+
+
+def analyze(
+    source: Any,
     graph: PassGraph,
     engine: Optional["PipelineEngine"] = None,
     *,
-    checkpoint: Optional[Any] = None,
+    checkpoint: bool = False,
 ) -> Any:
-    """Every registered pass over the corpus, one traversal per shard.
+    """Every pass registered on ``graph`` over ``source``, one traversal
+    per shard.
 
-    Returns ``{pass name: result}``; with a degrading engine, a
+    Returns ``{pass name: result}``; under ``on_error="degrade"``, a
     :class:`repro.resilience.DegradedResult` wrapping that mapping.
-    ``checkpoint`` (a :class:`repro.ct.storage.HarvestCheckpoint`)
-    records each finished shard's encoded partials and skips the
-    shards it already holds; its shard plan then follows
-    ``engine.shard_size`` whether the engine is serial or pooled.
+
+    A serial engine folds a corpus or record source as one lazy shard;
+    otherwise shards follow ``engine.shard_size``.  A live log
+    (anything with ``name``, ``size`` and ``get_entries``, picklable
+    for a process pool) is always read one ``shard_size`` window per
+    shard, and a failing fetch is retried inside its worker.
+
+    With ``checkpoint=True`` the source must be a ``from_stored``
+    corpus: a ``<harvest>.checkpoint`` sidecar records every finished
+    shard (and a degraded run's report), and a re-run re-runs only the
+    shards it lacks.  The sidecar header binds the tree head, the
+    shard size and ``graph.checkpoint_key``; a mismatched or corrupted
+    sidecar raises :class:`repro.ct.storage.LogStorageError`.
     """
-    from repro.pipeline.shard import plan_sequence_shards
+    from repro.pipeline.engine import PipelineEngine
 
-    engine = engine or _default_engine()
-    if engine.serial and checkpoint is None:
-        views = [corpus.view()]
-    else:
-        shards = plan_sequence_shards(
-            len(corpus), engine.shard_size, source="corpus"
-        )
-        views = [corpus.view(shard.start, shard.stop) for shard in shards]
-    return analyze_shards(views, graph, engine, checkpoint=checkpoint)
-
-
-def analyze_records(
-    records: Sequence[Any],
-    graph: PassGraph,
-    engine: Optional["PipelineEngine"] = None,
-    *,
-    source: str = "records",
-) -> Any:
-    """Every registered pass over a plain record sequence."""
-    from repro.pipeline.shard import plan_sequence_shards
-
-    engine = engine or _default_engine()
-    if engine.serial:
-        return analyze_shards([records], graph, engine)
-    shards = plan_sequence_shards(len(records), engine.shard_size, source=source)
-    return analyze_shards(
-        [shard.slice(records) for shard in shards], graph, engine
-    )
-
-
-def analyze_shards(
-    shards: Sequence[Any],
-    graph: PassGraph,
-    engine: "PipelineEngine",
-    *,
-    checkpoint: Optional[Any] = None,
-) -> Any:
-    """Every registered pass over pre-planned shards, in shard order."""
+    engine = engine or PipelineEngine()
+    store = _open_checkpoint(source, graph, engine) if checkpoint else None
     metrics = engine.metrics
     fused = graph.traversals_fused()
 
@@ -123,9 +103,49 @@ def analyze_shards(
 
     return engine.map_reduce(
         fused_shard_task,
-        [(graph, shard) for shard in shards],
+        [(graph, shard) for shard in _shards(source, engine, checkpoint)],
         reduce_fn,
-        checkpoint=checkpoint,
+        checkpoint=store,
         encode=graph.encode_shard,
         decode=graph.decode_shard,
+    )
+
+
+def _shards(source: Any, engine: "PipelineEngine", checkpoint: bool) -> List[Any]:
+    from repro.pipeline.shard import plan_sequence_shards
+
+    if hasattr(source, "get_entries"):
+        plan = plan_sequence_shards(source.size, engine.shard_size)
+        return [LogWindow(source, shard.start, shard.stop) for shard in plan]
+    if engine.serial and not checkpoint:
+        return [source]
+    if not isinstance(source, (CertCorpus, Sequence)):
+        source = list(source)
+    plan = plan_sequence_shards(len(source), engine.shard_size)
+    if isinstance(source, CertCorpus):
+        return [source.view(shard.start, shard.stop) for shard in plan]
+    return [source[shard.start : shard.stop] for shard in plan]
+
+
+def _open_checkpoint(
+    source: Any, graph: PassGraph, engine: "PipelineEngine"
+) -> HarvestCheckpoint:
+    """The sidecar of a ``from_stored`` corpus, bound to its tree head."""
+    if graph.checkpoint_key is None:
+        raise ValueError("graph has no checkpoint_key; cannot checkpoint")
+    head = getattr(source, "tree_head", None)
+    if head is None:
+        raise LogStorageError("harvest file has no tree-head trailer")
+    if len(source) != head["tree_size"]:
+        raise LogStorageError(
+            f"harvest {source.path} holds {len(source)} readable entries but "
+            f"its tree head covers {head['tree_size']}; cannot checkpoint"
+        )
+    return HarvestCheckpoint(
+        f"{source.path}.checkpoint",
+        pass_name=graph.checkpoint_key,
+        shard_size=engine.shard_size,
+        tree_size=head["tree_size"],
+        root_hash=head["root_hash"],
+        metrics=engine.metrics,
     )

@@ -24,7 +24,7 @@ shard payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
 def _identity(state: Any) -> Any:
@@ -73,10 +73,17 @@ class ShardResult:
 
 @dataclass
 class PassGraph:
-    """A registry of extractors and section passes, fused per shard."""
+    """A registry of extractors and section passes, fused per shard.
+
+    ``checkpoint_key`` names what the graph computes, parameters
+    included; a checkpoint sidecar is bound to it, so partials written
+    under another key are refused.  ``None`` means the graph cannot be
+    checkpointed.
+    """
 
     extractors: Dict[str, Extractor] = field(default_factory=dict)
     passes: Dict[str, SectionPass] = field(default_factory=dict)
+    checkpoint_key: Optional[str] = None
 
     def add_extractor(self, extractor: Extractor) -> "PassGraph":
         if extractor.name in self.extractors:

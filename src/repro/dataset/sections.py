@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bro.analyzer import AnalyzerConfig, BroSctAnalyzer
 from repro.core import adoption, evolution, leakage
-from repro.dataset.corpus import CertCorpus, CertRecord
+from repro.dataset.corpus import CertRecord
 from repro.dataset.graph import Extractor, PassGraph, SectionPass
 from repro.dnscore.psl import PublicSuffixList, default_psl
 from repro.util.stats import Counter2D
@@ -44,6 +44,11 @@ PRECERT_FIRSTS = "precert_firsts"
 MATRIX_CELLS = "matrix_cells"
 LEAKAGE_NAMES = "leakage"
 ADOPTION = "adoption"
+
+#: Version of :func:`sections_graph`'s checkpoint key; bump it when the
+#: graph or its partial codecs change meaning, so stale sidecars are
+#: rejected.
+SECTIONS_PASS = "sections-v1"
 
 FirstsState = Dict[Tuple[str, int], date]
 
@@ -157,10 +162,6 @@ def _leak_fold_record(state: leakage.NameFold, record: CertRecord) -> None:
         state.add(name)
 
 
-def _leak_fold_name(state: leakage.NameFold, name: str) -> None:
-    state.add(name)
-
-
 def _leak_finalize(state: leakage.NameFold) -> leakage.LeakagePartial:
     return state.partial
 
@@ -189,7 +190,7 @@ def leakage_name_extractor(
     psl: Optional[PublicSuffixList] = None,
 ) -> Extractor:
     """Table 2 name pipeline over a plain FQDN stream (§4 corpus)."""
-    return _leak_extractor(psl, _leak_fold_name)
+    return _leak_extractor(psl, leakage.NameFold.add)
 
 
 def leakage_pass() -> SectionPass:
@@ -270,46 +271,28 @@ def sections_graph(
     end: Optional[date] = None,
     psl: Optional[PublicSuffixList] = None,
 ) -> PassGraph:
-    """§2 evolution plus §4 leakage, all in one corpus traversal."""
+    """§2 evolution plus §4 leakage, all in one corpus traversal.
+
+    Its checkpoint key binds the window and the PSL rules, so a sidecar
+    written under another ``month``/``start``/``end`` or PSL is refused.
+    """
     graph = section2_graph(month, start=start, end=end)
     graph.add_extractor(leakage_extractor(psl))
     graph.add_pass(leakage_pass())
+    graph.checkpoint_key = (
+        f"{SECTIONS_PASS} month={month} start={start} end={end} "
+        f"psl={(psl or default_psl()).rules_digest()}"
+    )
     return graph
 
 
-# -- serial single-traversal helpers ----------------------------------------
+def adoption_graph(config: AnalyzerConfig) -> PassGraph:
+    """Figure 2 / Table 1 over a TLS-connection stream."""
+    graph = PassGraph().add_extractor(adoption_extractor(config))
+    return graph.add_pass(adoption_pass())
 
 
-def corpus_growth(
-    corpus: CertCorpus,
-    *,
-    start: Optional[date] = None,
-    end: Optional[date] = None,
-) -> Dict[str, List[Tuple[date, int]]]:
-    """Figure 1a over a corpus, serial single-shard case."""
-    graph = PassGraph().add_extractor(growth_extractor())
-    graph.add_pass(growth_pass(start, end))
-    return graph.run(corpus.iter_records())["growth"]
-
-
-def corpus_rates(corpus: CertCorpus) -> Dict[date, Dict[str, float]]:
-    """Figure 1b over a corpus, serial single-shard case."""
-    graph = PassGraph().add_extractor(growth_extractor())
-    graph.add_pass(rates_pass())
-    return graph.run(corpus.iter_records())["rates"]
-
-
-def corpus_matrix(corpus: CertCorpus, month: str = "2018-04") -> Counter2D:
-    """Figure 1c over a corpus, serial single-shard case."""
-    graph = PassGraph().add_extractor(matrix_extractor(month))
-    graph.add_pass(matrix_pass())
-    return graph.run(corpus.iter_records())["matrix"]
-
-
-def corpus_leakage(
-    corpus: CertCorpus, psl: Optional[PublicSuffixList] = None
-) -> leakage.LeakageStats:
-    """Table 2 over a corpus's names column, serial single-shard case."""
-    graph = PassGraph().add_extractor(leakage_extractor(psl))
-    graph.add_pass(leakage_pass())
-    return graph.run(corpus.iter_records())["leakage"]
+def fqdn_graph(psl: Optional[PublicSuffixList] = None) -> PassGraph:
+    """Table 2 / Section 4.3 over a plain FQDN stream."""
+    graph = PassGraph().add_extractor(leakage_name_extractor(psl))
+    return graph.add_pass(leakage_pass())

@@ -22,7 +22,6 @@ from repro.core import (
     adoption,
     enumeration,
     evolution,
-    leakage,
     misissuance,
     serversupport,
 )
@@ -30,6 +29,13 @@ from repro.core import report as rpt
 from repro.core.honeypot import CtHoneypotExperiment, HoneypotResult, render_table4
 from repro.core.phishdetect import PhishingDetector, PhishingReport
 from repro.core.threatintel import build_threat_report, render_threat_report
+from repro.dataset import (
+    CertCorpus,
+    adoption_graph,
+    analyze,
+    fqdn_graph,
+    section2_graph,
+)
 
 
 @dataclass
@@ -110,11 +116,15 @@ def reproduce_paper(
     run = CaLoggingWorkload(
         scale=scales.evolution, end=date(2018, 4, 30), seed=seed
     ).run()
-    results.evolution_growth = evolution.cumulative_precert_growth(run.logs)
+    corpus = CertCorpus.from_logs(run.logs, with_names=False)
+    sections = analyze(corpus, section2_graph("2018-04"))
+    results.evolution_growth = sections["growth"]
     results.evolution_weight = run.weight
-    results.evolution_shares = evolution.relative_daily_rates(run.logs)
-    results.evolution_matrix = evolution.ca_log_matrix(run.logs, "2018-04")
-    results.evolution_load = evolution.log_load_report(run.logs, "2018-04")
+    results.evolution_shares = sections["rates"]
+    results.evolution_matrix = sections["matrix"]
+    results.evolution_load = evolution.log_load_report(
+        run.logs, "2018-04", matrix=sections["matrix"]
+    )
 
     # Section 3.1-3.2 — passive traffic.
     note("Section 3.2: uplink capture ...")
@@ -124,10 +134,8 @@ def reproduce_paper(
     traffic = UplinkTrafficWorkload(
         connections_per_day=scales.traffic_connections_per_day, seed=seed
     )
-    analyzer = BroSctAnalyzer(traffic.logs)
-    results.traffic_stats = adoption.aggregate(
-        analyzer.analyze_stream(traffic.stream())
-    )
+    graph = adoption_graph(BroSctAnalyzer(traffic.logs).config())
+    results.traffic_stats = analyze(traffic.stream(), graph)["adoption"]
 
     # Section 3.3 — active scan.
     note("Section 3.3: active scan ...")
@@ -156,12 +164,16 @@ def reproduce_paper(
     note("Section 4: DNS leakage and enumeration ...")
     from repro.workloads.domains import DomainWorkload
 
-    corpus = DomainWorkload(scale=scales.domains, seed=seed).build()
-    results.leakage_stats = leakage.analyze_names(corpus.ct_fqdns, corpus.psl)
+    domains = DomainWorkload(scale=scales.domains, seed=seed).build()
+    results.leakage_stats = analyze(
+        domains.ct_fqdns, fqdn_graph(domains.psl)
+    )["leakage"]
     enum_corpus = DomainWorkload(
         scale=scales.enumeration_domains, seed=seed + 1
     ).build()
-    enum_stats = leakage.analyze_names(enum_corpus.ct_fqdns, enum_corpus.psl)
+    enum_stats = analyze(
+        enum_corpus.ct_fqdns, fqdn_graph(enum_corpus.psl)
+    )["leakage"]
     _, _, results.enumeration_report = enumeration.run_enumeration_experiment(
         enum_stats, enum_corpus, seed=seed
     )

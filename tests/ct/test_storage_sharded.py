@@ -18,13 +18,12 @@ from repro.ct.storage import (
     LogStorageError,
     dump_log,
     load_log,
-    read_tree_head,
 )
-from repro.dataset import fused
+from repro.dataset import CertCorpus, analyze, fused, sections_graph
+from repro.dataset.sections import SECTIONS_PASS
 from repro.dnscore.psl import PublicSuffixList
 from repro.obs import MetricsRegistry
-from repro.pipeline import PipelineEngine, analyze_harvest_sections
-from repro.pipeline.harvest import SECTIONS_PASS
+from repro.pipeline import PipelineEngine
 from repro.resilience import DegradedResult
 from repro.workloads.scenario import seeded_log
 from repro.x509.ca import IssuanceRequest
@@ -36,6 +35,18 @@ POOL_EXECUTORS = (
     if os.environ.get("REPRO_EXECUTOR")
     else ["process", "thread"]
 )
+
+
+def _open_checkpoint(path):
+    """The sidecar :func:`analyze` opens for ``path`` at shard size 6."""
+    head = CertCorpus.from_stored(path).tree_head
+    return HarvestCheckpoint(
+        f"{path}.checkpoint",
+        pass_name=SECTIONS_PASS,
+        shard_size=6,
+        tree_size=head["tree_size"],
+        root_hash=head["root_hash"],
+    )
 
 
 def _comparable(sections):
@@ -65,9 +76,11 @@ def harvest(tmp_path, ca, fresh_logs, now):
 class TestShardedHarvestAnalysis:
     def test_parallel_reanalysis_matches_serial(self, harvest):
         path, _ = harvest
-        serial = analyze_harvest_sections(path)
-        parallel = analyze_harvest_sections(
-            path, PipelineEngine(workers=3, shard_size=7)
+        serial = analyze(CertCorpus.from_stored(path), sections_graph())
+        parallel = analyze(
+            CertCorpus.from_stored(path),
+            sections_graph(),
+            PipelineEngine(workers=3, shard_size=7),
         )
         assert parallel["leakage"] == serial["leakage"]
         assert _comparable(parallel) == _comparable(serial)
@@ -75,21 +88,14 @@ class TestShardedHarvestAnalysis:
 
     def test_harvest_still_loads_and_verifies(self, harvest):
         path, log = harvest
-        analyze_harvest_sections(path, PipelineEngine(workers=2, shard_size=5))
+        analyze(
+            CertCorpus.from_stored(path),
+            sections_graph(),
+            PipelineEngine(workers=2, shard_size=5),
+        )
         restored = CTLog(name=log.name, operator=log.operator, key=log.key)
         assert load_log(path, restored) == len(log.entries)
         assert restored.tree.root() == log.tree.root()
-
-    def test_read_tree_head(self, harvest):
-        path, log = harvest
-        trailer = read_tree_head(path)
-        assert trailer["tree_size"] == len(log.entries)
-
-    def test_read_tree_head_missing_trailer(self, tmp_path):
-        path = tmp_path / "broken.jsonl"
-        path.write_text('{"type":"entry"}\n', encoding="utf-8")
-        with pytest.raises(LogStorageError):
-            read_tree_head(path)
 
 
 class TestHarvestCheckpoint:
@@ -99,75 +105,111 @@ class TestHarvestCheckpoint:
     def test_resume_skips_completed_shards(self, harvest):
         path, _ = harvest
         engine = PipelineEngine(workers=2, shard_size=6)
-        first = analyze_harvest_sections(path, engine, checkpoint=True)
+        first = analyze(
+            CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+        )
         sidecar = self._checkpoint_path(path)
         assert sidecar.exists()
         lines = sidecar.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 4  # header + ceil(20 / 6) shards
-        resumed = analyze_harvest_sections(path, engine, checkpoint=True)
+        resumed = analyze(
+            CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+        )
         assert _comparable(resumed) == _comparable(first)
         # No shard was re-recorded on resume.
         assert len(sidecar.read_text(encoding="utf-8").splitlines()) == len(lines)
 
     def test_serial_run_resumes_a_pooled_sidecar(self, harvest):
         path, _ = harvest
-        pooled = analyze_harvest_sections(
-            path, PipelineEngine(workers=2, shard_size=6), checkpoint=True
+        pooled = analyze(
+            CertCorpus.from_stored(path),
+            sections_graph(),
+            PipelineEngine(workers=2, shard_size=6),
+            checkpoint=True,
         )
         registry = MetricsRegistry()
         serial = PipelineEngine(workers=1, shard_size=6, metrics=registry)
-        resumed = analyze_harvest_sections(path, serial, checkpoint=True)
+        resumed = analyze(
+            CertCorpus.from_stored(path), sections_graph(), serial, checkpoint=True
+        )
         # The shard plan follows shard_size, not the executor.
         assert registry.snapshot().gauge("pipeline.checkpoint_hit_rate") == 1.0
         assert _comparable(resumed) == _comparable(pooled)
-        assert _comparable(resumed) == _comparable(analyze_harvest_sections(path))
+        assert _comparable(resumed) == _comparable(
+            analyze(CertCorpus.from_stored(path), sections_graph())
+        )
 
     def test_corrupted_checkpoint_raises(self, harvest):
         path, _ = harvest
         engine = PipelineEngine(workers=2, shard_size=6)
-        analyze_harvest_sections(path, engine, checkpoint=True)
+        analyze(CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True)
         sidecar = self._checkpoint_path(path)
         text = sidecar.read_text(encoding="utf-8")
         sidecar.write_text(text[:-15] + "{garbled\n", encoding="utf-8")
         with pytest.raises(LogStorageError, match="corrupted shard checkpoint"):
-            analyze_harvest_sections(path, engine, checkpoint=True)
+            analyze(
+                CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+            )
 
     def test_mismatched_shard_plan_rejected(self, harvest):
         path, _ = harvest
-        analyze_harvest_sections(
-            path, PipelineEngine(workers=1, shard_size=6), checkpoint=True
+        analyze(
+            CertCorpus.from_stored(path),
+            sections_graph(),
+            PipelineEngine(workers=1, shard_size=6),
+            checkpoint=True,
         )
         with pytest.raises(LogStorageError, match="does not match"):
-            analyze_harvest_sections(
-                path, PipelineEngine(workers=1, shard_size=9), checkpoint=True
+            analyze(
+                CertCorpus.from_stored(path),
+                sections_graph(),
+                PipelineEngine(workers=1, shard_size=9),
+                checkpoint=True,
             )
 
     def test_other_month_window_rejected(self, harvest):
         path, _ = harvest
         engine = PipelineEngine(workers=1, shard_size=6)
-        analyze_harvest_sections(path, engine, checkpoint=True, month="2018-04")
+        analyze(
+            CertCorpus.from_stored(path),
+            sections_graph(month="2018-04"),
+            engine,
+            checkpoint=True,
+        )
         with pytest.raises(LogStorageError, match="does not match"):
-            analyze_harvest_sections(
-                path, engine, checkpoint=True, month="2018-03"
+            analyze(
+                CertCorpus.from_stored(path),
+                sections_graph(month="2018-03"),
+                engine,
+                checkpoint=True,
             )
 
     def test_other_psl_rejected(self, harvest):
         path, _ = harvest
         engine = PipelineEngine(workers=1, shard_size=6)
         custom = PublicSuffixList(extra_rules=["example.org"])
-        analyze_harvest_sections(path, engine, checkpoint=True, psl=custom)
+        analyze(
+            CertCorpus.from_stored(path),
+            sections_graph(psl=custom),
+            engine,
+            checkpoint=True,
+        )
         with pytest.raises(LogStorageError, match="does not match"):
-            analyze_harvest_sections(path, engine, checkpoint=True)
+            analyze(
+                CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+            )
 
     def test_rewritten_harvest_invalidates_checkpoint(self, harvest, ca, now):
         path, log = harvest
         engine = PipelineEngine(workers=1, shard_size=6)
-        analyze_harvest_sections(path, engine, checkpoint=True)
+        analyze(CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True)
         # Re-harvest with one more entry: same sidecar, different head.
         ca.issue(IssuanceRequest(("extra.example.org",)), [log], now)
         dump_log(log, path)
         with pytest.raises(LogStorageError, match="does not match"):
-            analyze_harvest_sections(path, engine, checkpoint=True)
+            analyze(
+                CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+            )
 
     def test_harvest_missing_entries_is_not_checkpointed(self, harvest):
         path, _ = harvest
@@ -176,12 +218,16 @@ class TestHarvestCheckpoint:
             "".join(lines[:5] + ["{garbled\n"] + lines[6:]), encoding="utf-8"
         )
         # Unchecked, the skipped line is just missing from the corpus...
-        assert analyze_harvest_sections(path)["leakage"].unique_fqdns == 38
+        unchecked = analyze(CertCorpus.from_stored(path), sections_graph())
+        assert unchecked["leakage"].unique_fqdns == 38
         # ...but shard partials bound to the tree head would cover
         # other entries than the head does.
         with pytest.raises(LogStorageError, match="cannot checkpoint"):
-            analyze_harvest_sections(
-                path, PipelineEngine(shard_size=6), checkpoint=True
+            analyze(
+                CertCorpus.from_stored(path),
+                sections_graph(),
+                PipelineEngine(shard_size=6),
+                checkpoint=True,
             )
 
     def test_checkpointed_run_reads_the_harvest_once(self, harvest, monkeypatch):
@@ -197,7 +243,9 @@ class TestHarvestCheckpoint:
         engine = PipelineEngine(workers=1, shard_size=6)
         for run in ("cold", "resumed"):
             passes.clear()
-            analyze_harvest_sections(path, engine, checkpoint=True)
+            analyze(
+                CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+            )
             assert passes == [path], run
 
     def test_harvest_without_trailer_is_not_checkpointed(self, harvest):
@@ -206,13 +254,16 @@ class TestHarvestCheckpoint:
         assert '"tree-head"' in lines[-1]
         path.write_text("".join(lines[:-1]), encoding="utf-8")
         with pytest.raises(LogStorageError, match="no tree-head trailer"):
-            analyze_harvest_sections(
-                path, PipelineEngine(shard_size=6), checkpoint=True
+            analyze(
+                CertCorpus.from_stored(path),
+                sections_graph(),
+                PipelineEngine(shard_size=6),
+                checkpoint=True,
             )
 
     def test_malformed_shard_record_rejected(self, harvest):
         path, _ = harvest
-        checkpoint = HarvestCheckpoint.for_harvest(path, SECTIONS_PASS, 6)
+        checkpoint = _open_checkpoint(path)
         checkpoint.record(0, {"total": 1, "invalid": 0, "candidates": []})
         with checkpoint.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps({"type": "shard"}) + "\n")
@@ -221,7 +272,7 @@ class TestHarvestCheckpoint:
 
     def test_clear_removes_sidecar(self, harvest):
         path, _ = harvest
-        checkpoint = HarvestCheckpoint.for_harvest(path, SECTIONS_PASS, 6)
+        checkpoint = _open_checkpoint(path)
         checkpoint.record(0, None)
         assert checkpoint.path.exists()
         checkpoint.clear()
@@ -232,7 +283,7 @@ class TestHarvestCheckpoint:
 class TestCheckpointFaultAccounting:
     def _fresh(self, harvest):
         path, _ = harvest
-        return HarvestCheckpoint.for_harvest(path, SECTIONS_PASS, 6)
+        return _open_checkpoint(path)
 
     def test_duplicate_record_is_a_noop_first_wins(self, harvest):
         checkpoint = self._fresh(harvest)
@@ -328,16 +379,24 @@ class TestDuplicatedRecordHarvest:
 
     @pytest.mark.parametrize("executor", ["serial", *POOL_EXECUTORS])
     def test_checkpointed_run_equals_unchecked(self, duplicated_harvest, executor):
-        unchecked = analyze_harvest_sections(duplicated_harvest)
+        unchecked = analyze(
+            CertCorpus.from_stored(duplicated_harvest), sections_graph()
+        )
         engine = PipelineEngine(workers=2, shard_size=5, executor=executor)
-        checkpointed = analyze_harvest_sections(
-            duplicated_harvest, engine, checkpoint=True
+        checkpointed = analyze(
+            CertCorpus.from_stored(duplicated_harvest),
+            sections_graph(),
+            engine,
+            checkpoint=True,
         )
         assert _comparable(checkpointed) == _comparable(unchecked)
         assert checkpointed["leakage"].unique_fqdns == 12
         assert "seed11" in checkpointed["leakage"].label_counts
-        resumed = analyze_harvest_sections(
-            duplicated_harvest, engine, checkpoint=True
+        resumed = analyze(
+            CertCorpus.from_stored(duplicated_harvest),
+            sections_graph(),
+            engine,
+            checkpoint=True,
         )
         assert _comparable(resumed) == _comparable(unchecked)
 
@@ -359,7 +418,9 @@ class TestDegradeThenResume:
 
         engine = PipelineEngine(workers=1, shard_size=5, on_error="degrade")
         monkeypatch.setattr(fused, "fused_shard_task", losing_task)
-        outcome = analyze_harvest_sections(path, engine, checkpoint=True)
+        outcome = analyze(
+            CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+        )
         assert isinstance(outcome, DegradedResult)
         assert outcome.report.failed_indices == [1, 3]
         sidecar = path.with_name(path.name + ".checkpoint")
@@ -373,10 +434,12 @@ class TestDegradeThenResume:
         ]
 
         monkeypatch.setattr(fused, "fused_shard_task", spying_task)
-        resumed = analyze_harvest_sections(path, engine, checkpoint=True)
+        resumed = analyze(
+            CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+        )
         assert ran == [1, 3]
         assert resumed.report.ok
         monkeypatch.undo()
         assert _comparable(resumed.value) == _comparable(
-            analyze_harvest_sections(path)
+            analyze(CertCorpus.from_stored(path), sections_graph())
         )

@@ -22,20 +22,14 @@ from repro.dataset import (
     PassGraph,
     adoption_extractor,
     adoption_pass,
-    analyze_corpus,
-    analyze_records,
+    analyze,
     leakage_name_extractor,
     leakage_pass,
     section2_graph,
     sections_graph,
 )
 from repro.obs import MetricsRegistry
-from repro.pipeline import (
-    PipelineEngine,
-    analyze_harvest_sections,
-    analyze_log_sections,
-    evolution_sections,
-)
+from repro.pipeline import PipelineEngine
 from repro.pipeline.shard import plan_sequence_shards
 from repro.workloads.ca_profiles import CaLoggingWorkload
 from repro.workloads.traffic import UplinkTrafficWorkload
@@ -94,7 +88,7 @@ def _assert_sections_match(result, reference):
 
 class TestFusedEqualsReference:
     def test_serial_single_traversal(self, corpus, reference):
-        result = analyze_corpus(
+        result = analyze(
             corpus, sections_graph(), PipelineEngine(workers=1)
         )
         _assert_sections_match(result, reference)
@@ -104,13 +98,13 @@ class TestFusedEqualsReference:
         self, corpus, reference, executor
     ):
         engine = PipelineEngine(workers=3, shard_size=512, executor=executor)
-        result = analyze_corpus(corpus, sections_graph(), engine)
+        result = analyze(corpus, sections_graph(), engine)
         _assert_sections_match(result, reference)
 
     def test_date_window_passes_through(self, logs, corpus):
         window = dict(start=date(2017, 1, 1), end=date(2018, 3, 31))
         engine = PipelineEngine(workers=3, shard_size=512)
-        result = analyze_corpus(
+        result = analyze(
             corpus, section2_graph(start=window["start"], end=window["end"]),
             engine,
         )
@@ -128,7 +122,7 @@ class TestTraversalAccounting:
         )
         graph = sections_graph()
         assert graph.traversals_fused() == 4
-        analyze_corpus(corpus, graph, engine)
+        analyze(corpus, graph, engine)
         shards = len(plan_sequence_shards(len(corpus), 512, "corpus"))
         snap = metrics.snapshot()
         assert snap.counter("dataset.shard_traversals") == shards
@@ -141,7 +135,7 @@ class TestTraversalAccounting:
     def test_serial_run_is_one_traversal(self, corpus):
         metrics = MetricsRegistry()
         engine = PipelineEngine(workers=1, metrics=metrics)
-        analyze_corpus(corpus, sections_graph(), engine)
+        analyze(corpus, sections_graph(), engine)
         snap = metrics.snapshot()
         assert snap.counter("dataset.shard_traversals") == 1
         assert snap.counter("dataset.records_scanned") == len(corpus)
@@ -150,7 +144,11 @@ class TestTraversalAccounting:
 class TestEvolutionSectionsDriver:
     def test_matches_single_pass_drivers(self, logs):
         engine = PipelineEngine(workers=3, shard_size=512, executor="thread")
-        fused = evolution_sections(logs, "2018-04", engine)
+        fused = analyze(
+            CertCorpus.from_logs(logs, with_names=False),
+            section2_graph("2018-04"),
+            engine,
+        )
         assert fused["growth"] == evolution.cumulative_precert_growth(logs)
         assert fused["rates"] == evolution.relative_daily_rates(logs)
         assert (
@@ -166,7 +164,7 @@ class TestAnalyzeRecords:
         graph = PassGraph().add_extractor(leakage_name_extractor())
         graph.add_pass(leakage_pass())
         engine = PipelineEngine(workers=3, shard_size=256, executor=executor)
-        result = analyze_records(names, graph, engine, source="fqdns")
+        result = analyze(names, graph, engine)
         assert result["leakage"] == leakage.analyze_names(names)
 
 
@@ -200,8 +198,8 @@ class TestHarvestSections:
         path = tmp_path / "harvest.jsonl"
         dump_log(logs[name], path)
         engine = PipelineEngine(workers=3, shard_size=256, executor="thread")
-        streamed = analyze_harvest_sections(path, engine)
-        in_memory = analyze_corpus(
+        streamed = analyze(CertCorpus.from_stored(path), sections_graph(), engine)
+        in_memory = analyze(
             CertCorpus.from_logs([logs[name]]), sections_graph(), engine
         )
         assert streamed["growth"] == in_memory["growth"]
@@ -217,12 +215,16 @@ class TestHarvestSections:
         path = tmp_path / "harvest.jsonl"
         dump_log(logs[name], path)
         engine = PipelineEngine(workers=3, shard_size=256, executor=executor)
-        in_memory = analyze_corpus(
+        in_memory = analyze(
             CertCorpus.from_logs([logs[name]]), sections_graph(), engine
         )
-        cold = analyze_harvest_sections(path, engine, checkpoint=True)
-        resumed = analyze_harvest_sections(path, engine, checkpoint=True)
-        live = analyze_log_sections(logs[name], engine)
+        cold = analyze(
+            CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+        )
+        resumed = analyze(
+            CertCorpus.from_stored(path), sections_graph(), engine, checkpoint=True
+        )
+        live = analyze(logs[name], sections_graph(), engine)
         for result in (cold, resumed, live):
             _assert_sections_match(result, in_memory)
 

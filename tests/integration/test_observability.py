@@ -14,10 +14,9 @@ import pytest
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
 from repro.ct.storage import HarvestCheckpoint
-from repro.dataset import fused_shard_task, sections_graph
+from repro.dataset import LogWindow, analyze, fused_shard_task, sections_graph
 from repro.obs import MetricsRegistry, MetricsSnapshot, SpanTracer
-from repro.pipeline import PipelineEngine, analyze_log_sections
-from repro.pipeline.harvest import LogWindow
+from repro.pipeline import PipelineEngine
 from repro.resilience import DegradedResult, FlakyLog, RetryPolicy
 from repro.util.rng import SeededRng
 from repro.util.timeutil import utc_datetime
@@ -42,8 +41,8 @@ def fault_log():
 
 @pytest.fixture(scope="module")
 def fault_free(fault_log):
-    return analyze_log_sections(
-        fault_log, PipelineEngine(workers=1, shard_size=SHARD_SIZE)
+    return analyze(
+        fault_log, GRAPH, PipelineEngine(workers=1, shard_size=SHARD_SIZE)
     )["leakage"]
 
 
@@ -84,7 +83,7 @@ class TestSerialParallelCounterParity:
         engine = PipelineEngine(
             workers=1, shard_size=SHARD_SIZE, metrics=registry
         )
-        assert analyze_log_sections(fault_log, engine)["leakage"] == fault_free
+        assert analyze(fault_log, GRAPH, engine)["leakage"] == fault_free
         snap = registry.snapshot()
         assert snap.counter("pipeline.shards_planned") == 6
         assert snap.counter("pipeline.shards_completed") == 6
@@ -103,7 +102,7 @@ class TestSerialParallelCounterParity:
             tracer=SpanTracer(),
         )
         flaky = _flaky(fault_log)
-        result = analyze_log_sections(flaky, engine)["leakage"]
+        result = analyze(flaky, GRAPH, engine)["leakage"]
         assert result == fault_free  # faults + retries change no bytes
         assert flaky.faults_injected > 0
         snap = registry.snapshot()
@@ -148,7 +147,7 @@ class TestDegradedRunMetrics:
             failure_rate=0.0,
             fail_when=_fail_tail,
         )
-        outcome = analyze_log_sections(flaky, engine)
+        outcome = analyze(flaky, GRAPH, engine)
         assert isinstance(outcome, DegradedResult)
         assert outcome.report.failed_indices == [4, 5]
 

@@ -19,13 +19,15 @@ from repro.core import adoption, evolution, leakage
 from repro.core import report as rpt
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
-from repro.pipeline import (
-    PipelineEngine,
-    analyze_log_sections,
-    evolution_sections,
-    leakage_names,
-    traffic_adoption,
+from repro.dataset import (
+    CertCorpus,
+    adoption_graph,
+    analyze,
+    fqdn_graph,
+    section2_graph,
+    sections_graph,
 )
+from repro.pipeline import PipelineEngine
 from repro.resilience import (
     DegradedResult,
     FlakyLog,
@@ -63,7 +65,7 @@ def evolution_logs():
 class TestEvolutionParity:
     def test_fig1a_growth(self, evolution_logs, engine):
         serial = evolution.cumulative_precert_growth(evolution_logs)
-        parallel = evolution_sections(evolution_logs, engine=engine)["growth"]
+        parallel = analyze(CertCorpus.from_logs(evolution_logs), section2_graph(), engine)["growth"]
         assert parallel == serial
         # Same CA iteration order, not just the same mapping.
         assert list(parallel) == list(serial)
@@ -72,20 +74,22 @@ class TestEvolutionParity:
         window = dict(start=date(2017, 1, 1), end=date(2018, 3, 31))
         serial = evolution.cumulative_precert_growth(evolution_logs, **window)
         assert (
-            evolution_sections(evolution_logs, engine=engine, **window)["growth"]
+            analyze(
+                CertCorpus.from_logs(evolution_logs), section2_graph(**window), engine
+            )["growth"]
             == serial
         )
 
     def test_fig1b_rates(self, evolution_logs, engine):
         serial = evolution.relative_daily_rates(evolution_logs)
-        parallel = evolution_sections(evolution_logs, engine=engine)["rates"]
+        parallel = analyze(CertCorpus.from_logs(evolution_logs), section2_graph(), engine)["rates"]
         assert parallel == serial
 
     def test_fig1c_matrix(self, evolution_logs, engine):
         serial = evolution.ca_log_matrix(evolution_logs, "2018-04")
-        parallel = evolution_sections(evolution_logs, "2018-04", engine)[
-            "matrix"
-        ]
+        parallel = analyze(
+            CertCorpus.from_logs(evolution_logs), section2_graph("2018-04"), engine
+        )["matrix"]
         assert parallel.cells() == serial.cells()
         # Ranked orders (count ties break by insertion) must match too:
         # they drive the rendered figure's row/column layout.
@@ -107,7 +111,9 @@ class TestTrafficParity:
         workload, analyzer = streams()
         serial = adoption.aggregate(analyzer.analyze_stream(workload.stream()))
         workload2, analyzer2 = streams()
-        parallel = traffic_adoption(workload2.stream(), analyzer2, engine)
+        parallel = analyze(
+            workload2.stream(), adoption_graph(analyzer2.config()), engine
+        )["adoption"]
         assert parallel == serial
         assert adoption.table1(parallel) == adoption.table1(serial)
         assert rpt.render_figure2(parallel) == rpt.render_figure2(serial)
@@ -127,7 +133,7 @@ class TestLeakageParityAtDefaultScale:
     def test_table2_identical(self, corpus):
         engine = PipelineEngine(workers=3, shard_size=16_384)
         serial = leakage.analyze_names(corpus.ct_fqdns, corpus.psl)
-        parallel = leakage_names(corpus.ct_fqdns, engine, corpus.psl)
+        parallel = analyze(corpus.ct_fqdns, fqdn_graph(corpus.psl), engine)["leakage"]
         assert parallel == serial
         assert parallel.top_labels(20) == serial.top_labels(20)
         assert parallel.top_label_per_suffix() == serial.top_label_per_suffix()
@@ -186,8 +192,8 @@ class TestFaultInjectionParity:
 
     @pytest.fixture(scope="class")
     def fault_free(self, fault_log):
-        return analyze_log_sections(
-            fault_log, PipelineEngine(workers=1, shard_size=8)
+        return analyze(
+            fault_log, sections_graph(), PipelineEngine(workers=1, shard_size=8)
         )["leakage"]
 
     @pytest.mark.parametrize("executor", FAULT_EXECUTORS)
@@ -197,7 +203,7 @@ class TestFaultInjectionParity:
         engine = PipelineEngine(
             workers=3, shard_size=8, executor=executor, retry=_retries(3)
         )
-        result = analyze_log_sections(_flaky(fault_log), engine)["leakage"]
+        result = analyze(_flaky(fault_log), sections_graph(), engine)["leakage"]
         assert result == fault_free
         assert result.top_labels(10) == fault_free.top_labels(10)
         assert (
@@ -211,11 +217,11 @@ class TestFaultInjectionParity:
         # counters stay observable.
         first = _flaky(fault_log)
         engine = PipelineEngine(workers=1, shard_size=8, retry=_retries(3))
-        assert analyze_log_sections(first, engine)["leakage"] == fault_free
+        assert analyze(first, sections_graph(), engine)["leakage"] == fault_free
         assert first.faults_injected > 0
 
         second = _flaky(fault_log)
-        assert analyze_log_sections(second, engine)["leakage"] == fault_free
+        assert analyze(second, sections_graph(), engine)["leakage"] == fault_free
         assert second.faults_injected == first.faults_injected
 
     def test_without_retries_faults_surface_as_shard_failures(self, fault_log):
@@ -228,7 +234,7 @@ class TestFaultInjectionParity:
         )
         engine = PipelineEngine(workers=1, shard_size=8)
         with pytest.raises(ShardFailedError) as excinfo:
-            analyze_log_sections(flaky, engine)
+            analyze(flaky, sections_graph(), engine)
         assert excinfo.value.index == 0
         assert excinfo.value.attempts == 1
 
@@ -254,7 +260,7 @@ class TestDegradedHarvest:
             retry=_retries(1),
             on_error="degrade",
         )
-        outcome = analyze_log_sections(flaky, engine)
+        outcome = analyze(flaky, sections_graph(), engine)
         assert isinstance(outcome, DegradedResult)
         assert outcome.report.failed_indices == [4, 5]
         assert outcome.report.total_shards == 6
@@ -277,7 +283,7 @@ class TestDegradedHarvest:
         )
         engine = PipelineEngine(workers=1, shard_size=8, retry=_retries(1))
         with pytest.raises(ShardFailedError) as excinfo:
-            analyze_log_sections(flaky, engine)
+            analyze(flaky, sections_graph(), engine)
         assert excinfo.value.index == 4
         assert excinfo.value.attempts == 2
 
@@ -285,11 +291,11 @@ class TestDegradedHarvest:
 class TestSerialFallback:
     def test_workers_one_uses_serial_path(self, evolution_logs):
         serial_engine = PipelineEngine(workers=1)
-        assert evolution_sections(evolution_logs, engine=serial_engine)[
-            "growth"
-        ] == evolution.cumulative_precert_growth(evolution_logs)
+        assert analyze(
+            CertCorpus.from_logs(evolution_logs), section2_graph(), serial_engine
+        )["growth"] == evolution.cumulative_precert_growth(evolution_logs)
 
     def test_default_engine_is_serial(self, evolution_logs):
-        assert evolution_sections(evolution_logs)[
+        assert analyze(CertCorpus.from_logs(evolution_logs), section2_graph())[
             "rates"
         ] == evolution.relative_daily_rates(evolution_logs)

@@ -6,7 +6,7 @@ the aggregates a batch recompute over the same entry stream produces —
 not approximately, but bit-identically, including the map orderings
 the rendered artifacts depend on.  Checked here over seeded randomized
 issuance schedules (failures replay exactly), against both the serial
-batch path and a real process-pool :func:`analyze_corpus` run, and
+batch path and a real process-pool :func:`analyze` run, and
 through the version-1 JSON serialization.
 
 Two reference corpora appear on purpose: the *streamed* corpus
@@ -23,7 +23,7 @@ from datetime import timedelta
 from repro.ct.feed import CertFeed
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
-from repro.dataset import CertCorpus, LiveAnalytics, analyze_corpus
+from repro.dataset import CertCorpus, LiveAnalytics, analyze
 from repro.dataset.sections import section2_graph
 from repro.pipeline.engine import PipelineEngine
 from repro.util.timeutil import utc_datetime
@@ -98,7 +98,7 @@ def test_folded_polls_equal_batch_recompute_serial():
         # Same stream order: identical down to map insertion order.
         batch = section2_graph(MONTH).run(streamed.iter_records())
         _assert_identical(live.results(), batch)
-        serial = analyze_corpus(
+        serial = analyze(
             streamed, section2_graph(MONTH), PipelineEngine(workers=1)
         )
         _assert_identical(live.results(), serial)
@@ -125,7 +125,7 @@ def test_folded_polls_equal_batch_recompute_process_pool():
     live = LiveAnalytics(section2_graph(MONTH))
     logs, streamed, _ = _grow_world(rng, live)
     assert len(streamed) > 0
-    pooled = analyze_corpus(
+    pooled = analyze(
         streamed,
         section2_graph(MONTH),
         PipelineEngine(workers=3, shard_size=4, executor="process"),

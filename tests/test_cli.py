@@ -4,8 +4,14 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import COMMANDS, build_parser, main
+from repro.core import leakage
+from repro.core.report import render_table2
+from repro.dataset import analyze, fqdn_graph, fused
 from repro.obs import EVENT_SCHEMA_VERSION, MetricsSnapshot
+from repro.pipeline import PipelineEngine
+from repro.workloads.domains import DomainWorkload
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +150,72 @@ def test_metrics_out_writes_snapshot_without_touching_stdout(capsys, tmp_path):
         "pipeline.shards_planned"
     )
     assert json.loads(path.read_text())["version"] == 1
+
+
+def test_serial_table2_runs_through_the_engine(capsys, tmp_path):
+    """``--workers 1`` is one shard of the same graph, so the pipeline
+    and dataset counters describe it too."""
+    path = tmp_path / "m.json"
+    code, _ = run_cli(
+        capsys, "table2", "--scale", "0.0001", "--metrics-out", str(path)
+    )
+    assert code == 0
+    snap = MetricsSnapshot.from_json(path.read_text())
+    assert snap.counter("dataset.shard_traversals") == 1
+    assert snap.counter("pipeline.shards_planned") == 1
+
+
+def _lose_shard_of(names, start, stop, monkeypatch):
+    """Make the shard task fail on exactly the ``names[start:stop]``
+    shard (thread pools only: the patch does not cross processes)."""
+    real_task = fused.fused_shard_task
+
+    def losing_task(payload):
+        if list(payload[1]) == names[start:stop]:
+            raise RuntimeError("lost shard")
+        return real_task(payload)
+
+    monkeypatch.setattr(fused, "fused_shard_task", losing_task)
+
+
+def test_degraded_table2_reports_on_stderr(capsys, monkeypatch):
+    scale, seed = 0.0001, 5
+    corpus = DomainWorkload(scale=scale, seed=seed).build()
+    names = corpus.ct_fqdns
+    shards = -(-len(names) // 512)
+    assert shards > 2
+    _lose_shard_of(names, 512, 1024, monkeypatch)
+    real_engine = cli._engine
+
+    def thread_engine(args):
+        engine = real_engine(args)
+        engine.executor = "thread"
+        return engine
+
+    monkeypatch.setattr(cli, "_engine", thread_engine)
+    code = main([
+        "table2", "--scale", str(scale), "--seed", str(seed),
+        "--workers", "2", "--shard-size", "512", "--on-error", "degrade",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == (
+        f"[degraded] {shards - 1}/{shards} shard(s) completed; "
+        "failed: [1] (0 retries)\n"
+    )
+    surviving = leakage.analyze_names(names[:512] + names[1024:], corpus.psl)
+    assert captured.out == render_table2(surviving, weight=1.0 / scale) + "\n"
+
+
+def test_analyze_prints_nothing(capsys, monkeypatch):
+    names = [f"host{i}.example.org" for i in range(12)]
+    _lose_shard_of(names, 4, 8, monkeypatch)
+    engine = PipelineEngine(
+        workers=2, shard_size=4, executor="thread", on_error="degrade"
+    )
+    outcome = analyze(names, fqdn_graph(), engine)
+    assert outcome.report.failed_indices == [1]
+    assert capsys.readouterr() == ("", "")
 
 
 def test_trace_renders_tree_on_stderr_only(capsys):

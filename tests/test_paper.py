@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.cli import main
 from repro.paper import PaperScales, reproduce_paper
+
+EVOLUTION_SCALE = 1 / 2_000_000
 
 
 @pytest.fixture(scope="module")
 def results():
     scales = PaperScales(
-        evolution=1 / 2_000_000,
+        evolution=EVOLUTION_SCALE,
         traffic_connections_per_day=60,
         hosting=1 / 200_000,
         domains=1 / 20_000,
@@ -43,3 +46,10 @@ def test_scales_are_respected(results):
     # Tiny scales => tiny simulated populations.
     assert results.scan_stats.unique_certificates < 1_000
     assert results.leakage_stats.unique_fqdns < 50_000
+
+
+def test_section2_equals_cli_sec2(results, capsys):
+    """§2 is one fused traversal, rendered exactly as ``repro sec2``."""
+    assert main(["sec2", "--scale", repr(EVOLUTION_SCALE), "--seed", "3"]) == 0
+    sec2 = capsys.readouterr().out
+    assert sec2 == "\n\n".join(results.sections()[:4]) + "\n"
