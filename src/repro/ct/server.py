@@ -24,10 +24,13 @@ an unknown log or route 404 — always as well-formed JSON, never a bare
 
 The serving side carries the speed work the write path needs under
 load: signed tree heads are memoized per tree size (one RSA signature
-per tree growth, not per scrape), inclusion/consistency proofs are
-memoized in a bounded LRU (proofs over a fixed tree size are
-immutable), and the Merkle tree itself caches roots incrementally
-(:class:`repro.ct.merkle.MerkleTree`).
+per tree growth, not per scrape), inclusion/consistency proofs, pages
+and batch digests are memoized in a bounded LRU (answers over a fixed
+tree size are immutable), and the Merkle tree itself caches roots
+incrementally (:class:`repro.ct.merkle.MerkleTree`).  A memoized reply
+is encoded once, when it enters the memo, so a hit only writes its
+stored bytes; each entry's ``get-entries`` element is built once and
+shared by every page that holds it.
 
 The write path scales through the MMD sequencer
 (:class:`repro.ct.sequencer.LogSequencer`): pass ``merge_interval``
@@ -54,7 +57,8 @@ endpoints alone — the parity tests prove a corpus built from such a
 replica is bit-identical to one read from the in-process object.
 A ``get-entries`` element is the :mod:`repro.ct.storage` entry record:
 :func:`entry_to_wire` / :func:`entry_from_wire` add only the RFC 6962
-envelope (``leaf_input`` plus base64 JSON ``extra_data``).
+envelope (``leaf_input`` plus base64 JSON ``extra_data``), and the
+harvester appends each checked page to its replica tree at once.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ from repro.ct.merkle import MerkleTree
 from repro.ct.sequencer import DEFAULT_MAX_BATCH, LogSequencer
 from repro.ct.sct import SctEntryType, SignedCertificateTimestamp
 from repro.ct.storage import (
+    _a2b,
     _b64,
     _unb64,
     certificate_from_dict,
@@ -154,11 +159,35 @@ def entry_to_wire(entry: LogEntry) -> Dict[str, str]:
     }
 
 
+_json_decode = json.JSONDecoder().decode
+
+
 def entry_from_wire(element: Mapping[str, str]) -> LogEntry:
-    """Invert :func:`entry_to_wire`."""
-    record = json.loads(_unb64(element["extra_data"]))
+    """Invert :func:`entry_to_wire` (``extra_data`` must be UTF-8 JSON)."""
+    extra = _a2b(element["extra_data"].encode("ascii"))
+    record = _json_decode(extra.decode("utf-8"))
     record["leaf_input"] = element["leaf_input"]
     return entry_from_record(record)
+
+
+def _encode(payload: Mapping[str, object]) -> bytes:
+    """A reply body: sorted-key JSON and a newline."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+class _Reply(dict):
+    """A memoized JSON reply that carries its encoded body.
+
+    The body is encoded once, when the reply enters a memo, so a memo
+    hit only writes :attr:`encoded`.  Any other payload, a plain dict,
+    is encoded when it is sent.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, body: Mapping[str, object]) -> None:
+        super().__init__(body)
+        self.encoded = _encode(self)
 
 
 class _MemoCache:
@@ -287,7 +316,9 @@ class _ServedLog:
             self.lock = threading.RLock()
         self.slug = log_slug(self.log.name)
         self.memo = _MemoCache(memo_entries)
-        self._sth_memo: Optional[Tuple[int, Dict[str, object]]] = None
+        self._sth_memo: Optional[Tuple[int, _Reply]] = None
+        # get-entries elements by entry index, built on first request.
+        self._elements: List[Optional[Dict[str, str]]] = []
         # Split-view mount: (partition fn, the twin's _ServedLog).
         self.split: Optional[
             Tuple[Callable[[str], bool], "_ServedLog"]
@@ -298,6 +329,21 @@ class _ServedLog:
         if self.split is not None and self.split[0](client_id):
             return self.split[1]
         return self
+
+    def wire_entries(self, start: int, end: int) -> List[Dict[str, str]]:
+        """The ``get-entries`` elements of entries ``[start, end]``.
+
+        Each entry is encoded once, and every memoized page holding it
+        shares its element: audit windows and harvest pages overlap,
+        and a logged entry never changes.
+        """
+        elements = self._elements
+        if len(elements) <= end:
+            elements.extend([None] * (end + 1 - len(elements)))
+        for index, entry in enumerate(self.log.get_entries(start, end), start):
+            if elements[index] is None:
+                elements[index] = entry_to_wire(entry)
+        return elements[start : end + 1]  # type: ignore[return-value]
 
     def sth_body(self, now: datetime) -> Dict[str, object]:
         """The signed tree head, memoized per tree size.
@@ -319,12 +365,12 @@ class _ServedLog:
                 sth = published
         if sth is None:
             sth = self.log.get_sth(now)
-        body: Dict[str, object] = {
+        body = _Reply({
             "tree_size": sth.tree_size,
             "timestamp": sth.timestamp_ms,
             "sha256_root_hash": _b64(sth.root_hash),
             "tree_head_signature": _b64(sth.signature),
-        }
+        })
         self._sth_memo = (size, body)
         return body
 
@@ -668,12 +714,7 @@ class LogServer:
             key = ("entries", start, end)
             cached = served.memo.get(key)
             if cached is None:
-                cached = {
-                    "entries": [
-                        entry_to_wire(entry)
-                        for entry in served.log.get_entries(start, end)
-                    ]
-                }
+                cached = _Reply({"entries": served.wire_entries(start, end)})
                 served.memo.put(key, cached)
             return 200, cached  # type: ignore[return-value]
 
@@ -706,10 +747,10 @@ class LogServer:
             cached = served.memo.get(key)
             if cached is None:
                 proof = served.log.get_proof_by_hash(index, tree_size)
-                cached = {
+                cached = _Reply({
                     "leaf_index": index,
                     "audit_path": [_b64(node) for node in proof],
-                }
+                })
                 served.memo.put(key, cached)
             return 200, cached  # type: ignore[return-value]
 
@@ -730,7 +771,7 @@ class LogServer:
             cached = served.memo.get(key)
             if cached is None:
                 proof = served.log.get_consistency(first, second)
-                cached = {"consistency": [_b64(node) for node in proof]}
+                cached = _Reply({"consistency": [_b64(node) for node in proof]})
                 served.memo.put(key, cached)
             return 200, cached  # type: ignore[return-value]
 
@@ -762,7 +803,7 @@ class LogServer:
             cached = served.memo.get(key)
             if cached is None:
                 digest = served.log.batch_digest(start, end, self._clock())
-                cached = {
+                cached = _Reply({
                     "start": digest.start,
                     "end": digest.end,
                     "timestamp": digest.timestamp_ms,
@@ -772,7 +813,7 @@ class LogServer:
                         for index, names in digest.domains
                     ],
                     "signature": _b64(digest.signature),
-                }
+                })
                 served.memo.put(key, cached)
             return 200, cached  # type: ignore[return-value]
 
@@ -897,7 +938,10 @@ class _LogServerHandler(FramedRequestHandler):
             method, parts.path, parts.query, self.rfile.read(length) if length else b"",
             headers.get("x-repro-client", ""), headers.get(_TRACEPARENT, ""),
         )
-        self.reply(status, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
+        self.reply(
+            status,
+            payload.encoded if isinstance(payload, _Reply) else _encode(payload),
+        )
 
     def do_GET(self) -> None:
         self._dispatch("GET")
@@ -1213,9 +1257,8 @@ def harvest_log(
     size = int(sth["tree_size"])
     replica = HarvestedLog(name, operator)
     for page in page_entries(client, 0, size - 1, page_size):
-        for entry in page:
-            replica.tree.append(entry.leaf_input)
-            replica.entries.append(entry)
+        replica.tree.append_many([entry.leaf_input for entry in page])
+        replica.entries.extend(page)
         if analytics is not None:
             analytics.fold_entries(name, page)
     if size and replica.tree.root() != _unb64(str(sth["sha256_root_hash"])):
