@@ -25,7 +25,7 @@ an unknown log or route 404 — always as well-formed JSON, never a bare
 The serving side carries the speed work the write path needs under
 load: signed tree heads are memoized per tree size (one RSA signature
 per tree growth, not per scrape), inclusion/consistency proofs, pages
-and batch digests are memoized in a bounded LRU (answers over a fixed
+and batch digests are memoized in a byte-bounded LRU (answers over a fixed
 tree size are immutable), and the Merkle tree itself caches roots
 incrementally (:class:`repro.ct.merkle.MerkleTree`).  A memoized reply
 is encoded once, when it enters the memo, so a hit only writes its
@@ -119,8 +119,13 @@ from repro.x509.certificate import Certificate
 #: allows serving fewer entries than requested; real logs page too).
 DEFAULT_PAGE_LIMIT = 1024
 
-#: Bound on the per-log proof/page memo (entries, not bytes).
-DEFAULT_MEMO_ENTRIES = 4096
+#: Bound on the bytes one log's proof/page memo holds.
+MEMO_BYTES = 16 << 20
+
+#: Bytes charged per memoized reply on top of its encoded body: the
+#: decoded copy, the key and the LRU link of a small proof measure about
+#: 1.6 KiB under tracemalloc, three times its encoded body.
+_REPLY_OVERHEAD = 1536
 
 _SLUG_CHARS = re.compile(r"[^a-z0-9]+")
 
@@ -191,7 +196,11 @@ class _Reply(dict):
 
 
 class _MemoCache:
-    """A tiny bounded LRU for immutable responses (proofs, pages).
+    """A byte-bounded LRU for immutable responses (proofs, pages).
+
+    Each reply is charged its encoded length plus ``_REPLY_OVERHEAD``,
+    so a page of a thousand entries weighs what it holds, and so do
+    thousands of small proofs.
 
     Only *validated* responses may be cached: every endpoint raises on
     malformed/out-of-range parameters **before** touching the cache,
@@ -199,9 +208,9 @@ class _MemoCache:
     nor skew the hit-rate accounting.
     """
 
-    def __init__(self, max_entries: int) -> None:
-        self.max_entries = max_entries
-        self._data: "OrderedDict[tuple, object]" = OrderedDict()
+    def __init__(self) -> None:
+        self._data: "OrderedDict[tuple, _Reply]" = OrderedDict()
+        self.bytes = 0
         self.hits = 0
         self.misses = 0
 
@@ -222,7 +231,7 @@ class _MemoCache:
         # a lookup and does not touch LRU order.
         return key in self._data
 
-    def get(self, key: tuple) -> Optional[object]:
+    def get(self, key: tuple) -> Optional[_Reply]:
         value = self._data.get(key)
         if value is None:
             self.misses += 1
@@ -231,11 +240,13 @@ class _MemoCache:
         self.hits += 1
         return value
 
-    def put(self, key: tuple, value: object) -> None:
+    def put(self, key: tuple, value: _Reply) -> None:
+        # Callers put only after a miss under the log's lock: the key is new.
         self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.max_entries:
-            self._data.popitem(last=False)
+        self.bytes += len(value.encoded) + _REPLY_OVERHEAD
+        while self.bytes > MEMO_BYTES:
+            _, evicted = self._data.popitem(last=False)
+            self.bytes -= len(evicted.encoded) + _REPLY_OVERHEAD
 
 
 def default_split_partition(client_id: str) -> bool:
@@ -300,9 +311,7 @@ class _ServedLog:
     published STH is reused instead of re-signing on scrape.
     """
 
-    def __init__(
-        self, target: Union[CTLog, LogSequencer], memo_entries: int
-    ) -> None:
+    def __init__(self, target: Union[CTLog, LogSequencer]) -> None:
         if isinstance(target, LogSequencer):
             self.sequencer: Optional[LogSequencer] = target
             self.log = target.log
@@ -315,7 +324,7 @@ class _ServedLog:
             # threads race both reads and add-pre-chain mutations.
             self.lock = threading.RLock()
         self.slug = log_slug(self.log.name)
-        self.memo = _MemoCache(memo_entries)
+        self.memo = _MemoCache()
         self._sth_memo: Optional[Tuple[int, _Reply]] = None
         # get-entries elements by entry index, built on first request.
         self._elements: List[Optional[Dict[str, str]]] = []
@@ -440,7 +449,6 @@ class LogServer:
         host: str = "127.0.0.1",
         port: int = 0,
         page_limit: int = DEFAULT_PAGE_LIMIT,
-        memo_entries: int = DEFAULT_MEMO_ENTRIES,
         merge_interval: Optional[float] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
     ) -> None:
@@ -479,12 +487,9 @@ class LogServer:
                     tracer=tracer,
                 )
                 self._own_sequencers.append(log)
-            served = _ServedLog(log, memo_entries)
+            served = _ServedLog(log)
             if split is not None:
-                served.split = (
-                    split.partition,
-                    _ServedLog(split.twin, memo_entries),
-                )
+                served.split = (split.partition, _ServedLog(split.twin))
             if served.slug in self._served:
                 raise ValueError(f"duplicate log slug {served.slug!r}")
             self._served[served.slug] = served
@@ -716,7 +721,7 @@ class LogServer:
             if cached is None:
                 cached = _Reply({"entries": served.wire_entries(start, end)})
                 served.memo.put(key, cached)
-            return 200, cached  # type: ignore[return-value]
+            return 200, cached
 
     def _get_proof_by_hash(
         self, served: _ServedLog, params: Mapping[str, List[str]]
@@ -752,7 +757,7 @@ class LogServer:
                     "audit_path": [_b64(node) for node in proof],
                 })
                 served.memo.put(key, cached)
-            return 200, cached  # type: ignore[return-value]
+            return 200, cached
 
     def _get_consistency(
         self, served: _ServedLog, params: Mapping[str, List[str]]
@@ -773,7 +778,7 @@ class LogServer:
                 proof = served.log.get_consistency(first, second)
                 cached = _Reply({"consistency": [_b64(node) for node in proof]})
                 served.memo.put(key, cached)
-            return 200, cached  # type: ignore[return-value]
+            return 200, cached
 
     def _get_batch_digest(
         self, served: _ServedLog, params: Mapping[str, List[str]]
@@ -815,7 +820,7 @@ class LogServer:
                     "signature": _b64(digest.signature),
                 })
                 served.memo.put(key, cached)
-            return 200, cached  # type: ignore[return-value]
+            return 200, cached
 
     def _add_pre_chain(
         self, served: _ServedLog, body: bytes

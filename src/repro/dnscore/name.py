@@ -12,7 +12,7 @@ labels are accepted only as a leading ``*``).
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import List
 
 MAX_NAME_LENGTH = 253
 MAX_LABEL_LENGTH = 63
@@ -77,14 +77,6 @@ def is_valid_fqdn(name: str, *, allow_wildcard: bool = False) -> bool:
         if not is_valid_label(label):
             return False
     return bool(_TLD_RE.match(labels[-1]))
-
-
-def parent_name(name: str) -> Optional[str]:
-    """The name with its leftmost label removed; None at a TLD."""
-    labels = split_labels(name)
-    if len(labels) <= 1:
-        return None
-    return ".".join(labels[1:])
 
 
 def is_subdomain_of(name: str, ancestor: str) -> bool:

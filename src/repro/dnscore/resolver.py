@@ -91,9 +91,6 @@ class DnsUniverse:
             candidate = candidate.split(".", 1)[1]
         return None
 
-    def zone_exists_for(self, qname: str) -> bool:
-        return self.server_for(qname) is not None
-
     @property
     def servers(self) -> List[AuthoritativeServer]:
         return list(self._servers)

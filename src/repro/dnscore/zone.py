@@ -99,12 +99,5 @@ class Zone:
         """All owner names with explicit records."""
         return sorted({name for name, _ in self._records})
 
-    def all_records(self) -> List[ResourceRecord]:
-        """Every explicit record, sorted by (owner, type)."""
-        out: List[ResourceRecord] = []
-        for (name, rtype), records in sorted(self._records.items()):
-            out.extend(records)
-        return out
-
     def record_count(self) -> int:
         return sum(len(v) for v in self._records.values())

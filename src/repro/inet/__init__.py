@@ -1,4 +1,4 @@
-"""Simulated Internet: autonomous systems, addressing, routing, time.
+"""Simulated Internet: autonomous systems, routing, time.
 
 The honeypot analysis (Section 6) attributes DNS queries and scans to
 autonomous systems; :mod:`repro.inet.asn` carries the exact ASes of
@@ -7,7 +7,6 @@ table of Section 4.3 ("we disregard IP addresses not part of our
 border router's routing table") lives in :mod:`repro.inet.routing`.
 """
 
-from repro.inet.addressing import Ipv4Allocator, Ipv6Allocator
 from repro.inet.asn import AS_REGISTRY, AutonomousSystem, as_by_number
 from repro.inet.clock import EventScheduler, SimEvent
 from repro.inet.routing import RoutingTable
@@ -16,8 +15,6 @@ __all__ = [
     "AS_REGISTRY",
     "AutonomousSystem",
     "EventScheduler",
-    "Ipv4Allocator",
-    "Ipv6Allocator",
     "RoutingTable",
     "SimEvent",
     "as_by_number",

@@ -26,7 +26,6 @@ class AutonomousSystem:
     category: str = "other"
     #: First /16s of the AS's IPv4 space, as (firstOctet, secondOctet).
     ipv4_blocks: Tuple[Tuple[int, int], ...] = ()
-    ipv6_prefix: str = ""
     #: Whether the AS's scanners follow best practices (informative
     #: rDNS, abuse contacts) — the paper found none of the honeypot
     #: scanners did.
@@ -41,22 +40,22 @@ def _blocks(*pairs: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:
 AS_REGISTRY: Dict[int, AutonomousSystem] = {
     asys.asn: asys
     for asys in [
-        AutonomousSystem(15169, "Google", "★", "resolver", _blocks((74, 125), (172, 217)), "2607:f8b0::"),
-        AutonomousSystem(8560, "1&1 Internet", "▲", "resolver", _blocks((82, 165)), "2001:8d8::"),
-        AutonomousSystem(54054, "Deteque (Spamhaus)", "■", "threat-intel", _blocks((185, 49)), "2a06:1680::"),
-        AutonomousSystem(44050, "Petersburg Internet", "●", "hosting", _blocks((5, 8)), "2a00:1678::"),
-        AutonomousSystem(16509, "Amazon", "✤", "cloud", _blocks((52, 95), (54, 240)), "2600:1f00::"),
-        AutonomousSystem(14618, "Amazon AES", "✤", "cloud", _blocks((18, 204)), "2600:1f18::"),
-        AutonomousSystem(14061, "DigitalOcean", "◗", "cloud", _blocks((104, 131), (159, 89)), "2604:a880::"),
-        AutonomousSystem(36692, "OpenDNS", "", "resolver", _blocks((208, 67)), "2620:119::"),
-        AutonomousSystem(29073, "Quasi Networks", "", "bulletproof", _blocks((191, 96)), "2a06:5280::"),
-        AutonomousSystem(24940, "Hetzner", "", "hosting", _blocks((88, 198)), "2a01:4f8::"),
-        AutonomousSystem(12876, "Online S.A.S.", "", "hosting", _blocks((51, 15)), "2001:bc8::"),
-        AutonomousSystem(19397, "ACN", "", "other", _blocks((66, 228)), "2610:e0::"),
+        AutonomousSystem(15169, "Google", "★", "resolver", _blocks((74, 125), (172, 217))),
+        AutonomousSystem(8560, "1&1 Internet", "▲", "resolver", _blocks((82, 165))),
+        AutonomousSystem(54054, "Deteque (Spamhaus)", "■", "threat-intel", _blocks((185, 49))),
+        AutonomousSystem(44050, "Petersburg Internet", "●", "hosting", _blocks((5, 8))),
+        AutonomousSystem(16509, "Amazon", "✤", "cloud", _blocks((52, 95), (54, 240))),
+        AutonomousSystem(14618, "Amazon AES", "✤", "cloud", _blocks((18, 204))),
+        AutonomousSystem(14061, "DigitalOcean", "◗", "cloud", _blocks((104, 131), (159, 89))),
+        AutonomousSystem(36692, "OpenDNS", "", "resolver", _blocks((208, 67))),
+        AutonomousSystem(29073, "Quasi Networks", "", "bulletproof", _blocks((191, 96))),
+        AutonomousSystem(24940, "Hetzner", "", "hosting", _blocks((88, 198))),
+        AutonomousSystem(12876, "Online S.A.S.", "", "hosting", _blocks((51, 15))),
+        AutonomousSystem(19397, "ACN", "", "other", _blocks((66, 228))),
         # Infrastructure of the simulation itself:
-        AutonomousSystem(64500, "Honeypot Operator", "", "research", _blocks((198, 18)), "2001:db8:1::"),
-        AutonomousSystem(64501, "Let's Encrypt Validation", "", "ca", _blocks((64, 78)), "2600:1401::"),
-        AutonomousSystem(64496, "University Uplink", "", "research", _blocks((169, 229)), "2607:f140::"),
+        AutonomousSystem(64500, "Honeypot Operator", "", "research", _blocks((198, 18))),
+        AutonomousSystem(64501, "Let's Encrypt Validation", "", "ca", _blocks((64, 78))),
+        AutonomousSystem(64496, "University Uplink", "", "research", _blocks((169, 229))),
     ]
 }
 
@@ -80,7 +79,6 @@ def generic_ases(count: int, start_asn: int = 50000) -> List[AutonomousSystem]:
                 "",
                 "other",
                 _blocks((first, second)),
-                f"2a0{index % 10:x}:{asn & 0xffff:x}::",
             )
         )
     return out

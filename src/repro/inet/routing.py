@@ -38,11 +38,6 @@ class RoutingTable:
     def add_prefix(self, prefix: Tuple[int, int]) -> None:
         self._prefixes.add(prefix)
 
-    def add_ases(self, ases: Iterable[AutonomousSystem]) -> None:
-        for asys in ases:
-            for block in asys.ipv4_blocks:
-                self.add_prefix(block)
-
     def contains(self, address: str) -> bool:
         """True when the address falls in a routed /16."""
         parts = address.split(".")

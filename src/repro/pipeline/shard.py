@@ -4,29 +4,25 @@ Every pass shards its corpus (a connection stream, the CT FQDN list,
 a stored harvest's entry sequence) into contiguous half-open index
 ranges ``[start, stop)`` of one source.
 
-Shards carry a dense global ``index`` that fixes the merge order:
-reducing partials in index order reproduces the serial iteration
-order exactly, which is what keeps parallel outputs bit-identical.
+The plan lists shards in source order, which fixes the merge order:
+reducing partials in plan order reproduces the serial iteration order
+exactly, which is what keeps parallel outputs bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, TypeVar
+from typing import List
 
 #: Default entries per shard; small enough to balance a pool, large
 #: enough that per-task overhead stays negligible.
 DEFAULT_SHARD_SIZE = 4096
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class Shard:
     """A half-open range ``[start, stop)`` of one source's items."""
 
-    index: int
-    source: str
     start: int
     stop: int
 
@@ -37,29 +33,14 @@ class Shard:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def slice(self, items: Sequence[T]) -> Sequence[T]:
-        """The shard's items out of its source sequence."""
-        return items[self.start : self.stop]
 
-
-def _check_shard_size(shard_size: int) -> None:
+def plan_sequence_shards(total: int, shard_size: int = DEFAULT_SHARD_SIZE) -> List[Shard]:
+    """Split ``total`` items into index-range shards, in source order."""
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-
-
-def plan_sequence_shards(
-    total: int, shard_size: int = DEFAULT_SHARD_SIZE, source: str = "stream"
-) -> List[Shard]:
-    """Split ``total`` items of one source into index-range shards."""
-    _check_shard_size(shard_size)
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
     return [
-        Shard(
-            index=index,
-            source=source,
-            start=start,
-            stop=min(start + shard_size, total),
-        )
-        for index, start in enumerate(range(0, total, shard_size))
+        Shard(start, min(start + shard_size, total))
+        for start in range(0, total, shard_size)
     ]

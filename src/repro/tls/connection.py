@@ -43,10 +43,4 @@ class TlsConnection:
     tls_extension_scts: Tuple[SignedCertificateTimestamp, ...] = ()
     ocsp_scts: Tuple[SignedCertificateTimestamp, ...] = ()
     client_signals_sct_support: bool = True
-    server_port: int = 443
     weight: int = 1
-    client_ip: str = ""
-
-    @property
-    def is_https(self) -> bool:
-        return self.server_port == 443

@@ -11,7 +11,7 @@ delivery configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ct.sct import SignedCertificateTimestamp
 from repro.x509.certificate import Certificate
@@ -74,6 +74,3 @@ class HttpsEndpoint:
             or site.ocsp_scts
             for site in self.sites.values()
         )
-
-    def hostnames(self) -> List[str]:
-        return list(self.sites)

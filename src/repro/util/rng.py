@@ -58,14 +58,8 @@ class SeededRng:
     def uniform(self, a: float, b: float) -> float:
         return self._random.uniform(a, b)
 
-    def expovariate(self, lambd: float) -> float:
-        return self._random.expovariate(lambd)
-
     def gauss(self, mu: float, sigma: float) -> float:
         return self._random.gauss(mu, sigma)
-
-    def lognormvariate(self, mu: float, sigma: float) -> float:
-        return self._random.lognormvariate(mu, sigma)
 
     def choice(self, seq: Sequence[T]) -> T:
         return self._random.choice(seq)

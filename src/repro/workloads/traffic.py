@@ -257,10 +257,6 @@ class UplinkTrafficWorkload:
             else:
                 self._runtimes.append(runtime)
 
-    @property
-    def certificate_authority(self) -> CertificateAuthority:
-        return self._ca
-
     def _instantiate(self, group: SiteGroup) -> _GroupRuntime:
         """Create the group's certificate/SCTs via the real pipeline."""
         issued_at = start_of_day(self.start) - timedelta(days=30)

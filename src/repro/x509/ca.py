@@ -83,14 +83,6 @@ class IssuedPair:
 
 ValidationHook = Callable[[Sequence[str], datetime], None]
 
-#: Returns the CAA-authorized issuer names for a DNS name (empty
-#: sequence = no CAA records = any CA may issue, per RFC 8659).
-CaaChecker = Callable[[str, datetime], Sequence[str]]
-
-
-class CaaDeniedError(RuntimeError):
-    """Issuance refused because CAA records authorize a different CA."""
-
 
 @dataclass
 class CertificateAuthority:
@@ -116,12 +108,6 @@ class CertificateAuthority:
     issuer_cns: Tuple[str, ...] = ()
     key: crypto.KeyPair = None  # type: ignore[assignment]
     validation_hook: Optional[ValidationHook] = None
-    #: When set, the CA checks CAA authorization before issuing (the
-    #: ecosystem the paper's validation discussion sits in; cf. the
-    #: authors' companion CAA study [35]).
-    caa_checker: Optional[CaaChecker] = None
-    #: The identifier subscribers put in ``issue`` CAA records for us.
-    caa_identity: str = ""
     log_final_certificates: bool = False
     key_bits: int = 512
 
@@ -159,14 +145,6 @@ class CertificateAuthority:
         """Run the full issuance pipeline for one certificate."""
         if not request.dns_names:
             raise ValueError("a certificate needs at least one DNS name")
-        if self.caa_checker is not None:
-            identity = self.caa_identity or self.name.lower().replace(" ", "-")
-            for name in request.dns_names:
-                allowed = list(self.caa_checker(name, now))
-                if allowed and identity not in allowed:
-                    raise CaaDeniedError(
-                        f"CAA for {name!r} authorizes {allowed}, not {identity!r}"
-                    )
         if self.validation_hook is not None:
             self.validation_hook(request.dns_names, now)
 

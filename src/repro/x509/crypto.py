@@ -41,11 +41,6 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def sha256_hex(data: bytes) -> str:
-    """Hex SHA-256 digest of ``data``."""
-    return hashlib.sha256(data).hexdigest()
-
-
 def _is_probable_prime(n: int, rounds: int = 24) -> bool:
     """Deterministic-witness Miller-Rabin primality test."""
     if n < 2:

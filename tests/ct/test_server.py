@@ -9,7 +9,9 @@ concurrency, harvest parity) lives in
 """
 
 import base64
+import gc
 import json
+import tracemalloc
 from datetime import timedelta
 
 import pytest
@@ -29,6 +31,7 @@ from repro.ct.server import (
 )
 from repro.obs import EventLog, MetricsRegistry
 from repro.util.timeutil import utc_datetime
+from repro.workloads.scenario import seeded_log
 from repro.x509 import crypto
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
 
@@ -533,6 +536,46 @@ def test_invalid_requests_never_touch_the_memo():
     assert empty.memo_stats()[log_slug("Empty")]["lookups"] == 0
     assert ("entries", 0, 4) in served.memo  # nothing evicted
     assert len(served.memo) == 1
+
+
+def _memo_growth_mib(server, requests):
+    """MiB still allocated after serving ``requests`` (path, query)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for path, query in requests:
+            assert get(server, path, query)[0] == 200
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def log_1200():
+    return seeded_log(1, 1200)
+
+
+def test_memo_bounds_bytes_of_overlapping_pages(log_1200):
+    """A client stepping ``start`` cannot pin a full page per step."""
+    windows = [
+        ("/ct/v1/get-entries", f"start={start}&end={start + 1023}")
+        for start in range(64)
+    ]
+    # Each window is a ~1.1 MiB reply: 72.8 MiB if every one stayed.
+    assert _memo_growth_mib(LogServer(log_1200), windows) < 24
+
+
+def test_memo_bounds_bytes_of_many_small_proofs(log_1200):
+    """Small replies are charged their overhead too, not only their body."""
+    proofs = [
+        ("/ct/v1/get-sth-consistency", f"first={first}&second={second}")
+        for second in range(1080, 1200)
+        for first in range(1, 141)
+    ]
+    # 16,800 proofs of ~2.1 KiB each: 34 MiB if every one stayed.
+    assert _memo_growth_mib(LogServer(log_1200), proofs) < 24
 
 
 # -- harvest pinned to the fetched STH ---------------------------------------

@@ -349,7 +349,7 @@ class TestCheckpointFaultAccounting:
         )
         from repro.pipeline.shard import plan_sequence_shards
 
-        shards = plan_sequence_shards(20, 6, source=str(path))
+        shards = plan_sequence_shards(20, 6)
         tasks = [(str(path), s.start, s.stop) for s in shards]
         result = engine.map(fail_shard_two, tasks, checkpoint=checkpoint)
         assert result.degradation.failed_indices == [2]

@@ -123,7 +123,7 @@ class TestTraversalAccounting:
         graph = sections_graph()
         assert graph.traversals_fused() == 4
         analyze(corpus, graph, engine)
-        shards = len(plan_sequence_shards(len(corpus), 512, "corpus"))
+        shards = len(plan_sequence_shards(len(corpus), 512))
         snap = metrics.snapshot()
         assert snap.counter("dataset.shard_traversals") == shards
         assert snap.counter("dataset.records_scanned") == len(corpus)

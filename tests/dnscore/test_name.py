@@ -7,7 +7,6 @@ from repro.dnscore.name import (
     is_valid_fqdn,
     is_valid_label,
     normalize_name,
-    parent_name,
     random_control_label,
     split_labels,
 )
@@ -72,11 +71,6 @@ def test_is_valid_label():
     assert not is_valid_label("")
     assert not is_valid_label("a" * 64)
     assert not is_valid_label("-x")
-
-
-def test_parent_name():
-    assert parent_name("a.b.c") == "b.c"
-    assert parent_name("org") is None
 
 
 def test_is_subdomain_of():

@@ -1,10 +1,9 @@
-"""Tests for ASes, addressing, routing, and the event scheduler."""
+"""Tests for ASes, routing, and the event scheduler."""
 
 from datetime import timedelta
 
 import pytest
 
-from repro.inet.addressing import AddressSpace, Ipv4Allocator, Ipv6Allocator
 from repro.inet.asn import AS_REGISTRY, as_by_number, generic_ases, table4_symbol
 from repro.inet.clock import EventScheduler
 from repro.inet.routing import RoutingTable
@@ -31,42 +30,6 @@ class TestAsRegistry:
         tail = generic_ases(76)
         assert len({a.asn for a in tail}) == 76
         assert all(a.ipv4_blocks for a in tail)
-
-
-class TestAddressing:
-    def test_ipv4_allocations_unique(self):
-        allocator = Ipv4Allocator(AS_REGISTRY[15169])
-        addresses = [allocator.allocate() for _ in range(500)]
-        assert len(set(addresses)) == 500
-
-    def test_ipv4_stays_in_as_blocks(self):
-        asys = AS_REGISTRY[14061]
-        allocator = Ipv4Allocator(asys)
-        blocks = set(asys.ipv4_blocks)
-        for _ in range(50):
-            ip = allocator.allocate()
-            first, second, _, _ = (int(p) for p in ip.split("."))
-            assert (first, second) in blocks
-
-    def test_ipv6_allocations_unique(self):
-        allocator = Ipv6Allocator(AS_REGISTRY[64500])
-        addrs = {allocator.allocate() for _ in range(100)}
-        assert len(addrs) == 100
-
-    def test_allocator_without_blocks_raises(self):
-        from repro.inet.asn import AutonomousSystem
-
-        empty = AutonomousSystem(1, "Empty")
-        with pytest.raises(ValueError):
-            Ipv4Allocator(empty).allocate()
-        with pytest.raises(ValueError):
-            Ipv6Allocator(empty).allocate()
-
-    def test_address_space_shares_allocators(self):
-        space = AddressSpace()
-        a = space.ipv4(AS_REGISTRY[15169])
-        b = space.ipv4(AS_REGISTRY[15169])
-        assert a != b
 
 
 class TestRoutingTable:

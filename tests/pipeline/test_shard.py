@@ -7,15 +7,14 @@ from repro.pipeline.shard import Shard, plan_sequence_shards
 
 class TestShard:
     def test_len_and_slice(self):
-        shard = Shard(index=0, source="s", start=2, stop=5)
+        shard = Shard(start=2, stop=5)
         assert len(shard) == 3
-        assert list(shard.slice(list(range(10)))) == [2, 3, 4]
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
-            Shard(index=0, source="s", start=5, stop=2)
+            Shard(start=5, stop=2)
         with pytest.raises(ValueError):
-            Shard(index=0, source="s", start=-1, stop=2)
+            Shard(start=-1, stop=2)
 
 
 class TestPlanSequenceShards:
@@ -24,7 +23,6 @@ class TestPlanSequenceShards:
         assert [(s.start, s.stop) for s in shards] == [
             (0, 3), (3, 6), (6, 9), (9, 10),
         ]
-        assert [s.index for s in shards] == [0, 1, 2, 3]
         assert sum(len(s) for s in shards) == 10
 
     def test_empty_sequence(self):

@@ -1,36 +1,15 @@
-"""Property-based tests for the extension substrates (OCSP, chains, redaction)."""
-
-from datetime import timedelta
+"""Property-based tests for the extension substrates (chains, redaction)."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.ct.redaction import RedactionPolicy, redact_name
 from repro.dnscore.psl import default_psl
 from repro.util.timeutil import utc_datetime
-from repro.x509.ca import CertificateAuthority, IssuanceRequest
-from repro.x509.crypto import KeyPair
-from repro.x509.ocsp import CertStatus, OcspResponder
+from repro.x509.ca import IssuanceRequest
 
 NOW = utc_datetime(2018, 4, 1)
-CA = CertificateAuthority("Prop OCSP CA", key_bits=256)
-RESPONDER = OcspResponder("Prop OCSP CA", KeyPair.generate("prop-ocsp", 256))
 
 label = st.from_regex(r"[a-z0-9]([a-z0-9-]{0,8}[a-z0-9])?", fullmatch=True)
-
-
-@given(name=label, revoke=st.booleans(), age_days=st.integers(0, 6))
-@settings(max_examples=30, deadline=None)
-def test_ocsp_response_always_verifies_within_validity(name, revoke, age_days):
-    pair = CA.issue(
-        IssuanceRequest((f"{name}.prop.example",), embed_scts=False), [], NOW
-    )
-    if revoke:
-        RESPONDER.revoke(pair.final_certificate, NOW)
-    response = RESPONDER.respond(pair.final_certificate, NOW)
-    check_at = NOW + timedelta(days=age_days)
-    assert response.verify(RESPONDER.key, check_at)
-    expected = CertStatus.REVOKED if revoke else CertStatus.GOOD
-    assert response.status is expected
 
 
 @given(

@@ -1,50 +1,8 @@
-"""Property-based tests for the newer substrates (zonefile, rDNS, feed)."""
+"""Property-based tests for the newer substrates (rDNS)."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.dnscore.rdns import ReverseZone, ipv6_ptr_name, ipv6_to_nibbles, walk_rdns_tree
-from repro.dnscore.records import RecordType
-from repro.dnscore.zone import Zone
-from repro.dnscore.zonefile import load_zone, parse_zone_file, serialize_zone
-
-label = st.from_regex(r"[a-z0-9]([a-z0-9-]{0,8}[a-z0-9])?", fullmatch=True)
-ipv4 = st.tuples(*[st.integers(0, 255)] * 4).map(
-    lambda o: ".".join(map(str, o))
-)
-
-
-@given(
-    entries=st.lists(
-        st.tuples(label, st.sampled_from([RecordType.A, RecordType.TXT]), ipv4),
-        min_size=1,
-        max_size=12,
-        unique_by=lambda e: (e[0], e[1]),
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_zone_serialize_parse_roundtrip(entries):
-    zone = Zone("prop.example")
-    for owner, rtype, value in entries:
-        zone.add_simple(f"{owner}.prop.example", rtype, value)
-    text = serialize_zone(zone)
-    reparsed = load_zone(text, "prop.example")
-    assert sorted(map(str, reparsed.all_records())) == sorted(
-        map(str, zone.all_records())
-    )
-
-
-@given(owners=st.lists(label, min_size=1, max_size=10, unique=True))
-@settings(max_examples=50, deadline=None)
-def test_zone_file_owner_count_preserved(owners):
-    text = "$ORIGIN p.org.\n" + "\n".join(
-        f"{owner} IN A 192.0.2.1" for owner in owners
-    )
-    records = parse_zone_file(text)
-    assert len(records) == len(owners)
-    assert {record.name for record in records} == {
-        f"{owner}.p.org" for owner in owners
-    }
-
 
 ipv6_strategy = st.lists(
     st.integers(0, 0xFFFF), min_size=8, max_size=8
