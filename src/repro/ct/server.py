@@ -84,6 +84,7 @@ from typing import (
     Union,
 )
 from urllib.parse import parse_qs, quote, urlsplit
+from weakref import WeakValueDictionary
 
 from repro.ct.log import (
     BatchDigest,
@@ -97,6 +98,7 @@ from repro.ct.merkle import MerkleTree
 from repro.ct.sequencer import DEFAULT_MAX_BATCH, LogSequencer
 from repro.ct.sct import SctEntryType, SignedCertificateTimestamp
 from repro.ct.storage import (
+    _SHAPE_ERRORS,
     _a2b,
     _b64,
     _unb64,
@@ -147,6 +149,12 @@ class HttpApiError(Exception):
         self.message = message
 
 
+class _Element(dict):
+    """A ``get-entries`` element; a plain dict that weak references reach."""
+
+    __slots__ = ("__weakref__",)
+
+
 def entry_to_wire(entry: LogEntry) -> Dict[str, str]:
     """One get-entries element: RFC-shaped ``leaf_input`` + ``extra_data``.
 
@@ -156,22 +164,29 @@ def entry_to_wire(entry: LogEntry) -> Dict[str, str]:
     """
     extra = entry_record(entry)
     leaf_input = extra.pop("leaf_input")
-    return {
-        "leaf_input": leaf_input,
-        "extra_data": _b64(
+    return _Element(
+        leaf_input=leaf_input,
+        extra_data=_b64(
             json.dumps(extra, separators=(",", ":"), sort_keys=True).encode()
         ),
-    }
+    )
 
 
 _json_decode = json.JSONDecoder().decode
 
 
 def entry_from_wire(element: Mapping[str, str]) -> LogEntry:
-    """Invert :func:`entry_to_wire` (``extra_data`` must be UTF-8 JSON)."""
-    extra = _a2b(element["extra_data"].encode("ascii"))
-    record = _json_decode(extra.decode("utf-8"))
-    record["leaf_input"] = element["leaf_input"]
+    """Invert :func:`entry_to_wire` (``extra_data`` must be UTF-8 JSON).
+
+    Like :func:`repro.ct.storage.entry_from_record`, it raises
+    :class:`ValueError` for any element it cannot decode.
+    """
+    try:
+        extra = _a2b(element["extra_data"].encode("ascii"))
+        record = _json_decode(extra.decode("utf-8"))
+        record["leaf_input"] = element["leaf_input"]
+    except _SHAPE_ERRORS as exc:
+        raise ValueError(str(exc)) from None
     return entry_from_record(record)
 
 
@@ -326,8 +341,11 @@ class _ServedLog:
         self.slug = log_slug(self.log.name)
         self.memo = _MemoCache()
         self._sth_memo: Optional[Tuple[int, _Reply]] = None
-        # get-entries elements by entry index, built on first request.
-        self._elements: List[Optional[Dict[str, str]]] = []
+        # get-entries elements by entry index, alive while a memoized
+        # page (or a reply in flight) holds them.
+        self._elements: "WeakValueDictionary[int, Dict[str, str]]" = (
+            WeakValueDictionary()
+        )
         # Split-view mount: (partition fn, the twin's _ServedLog).
         self.split: Optional[
             Tuple[Callable[[str], bool], "_ServedLog"]
@@ -342,17 +360,20 @@ class _ServedLog:
     def wire_entries(self, start: int, end: int) -> List[Dict[str, str]]:
         """The ``get-entries`` elements of entries ``[start, end]``.
 
-        Each entry is encoded once, and every memoized page holding it
-        shares its element: audit windows and harvest pages overlap,
-        and a logged entry never changes.
+        Every memoized page holding an entry shares its element: audit
+        windows and harvest pages overlap, and a logged entry never
+        changes.  The table holds elements weakly, so an element dies
+        with the last page that holds it: the memo's byte bound on
+        pages bounds the elements too.
         """
         elements = self._elements
-        if len(elements) <= end:
-            elements.extend([None] * (end + 1 - len(elements)))
+        page = []
         for index, entry in enumerate(self.log.get_entries(start, end), start):
-            if elements[index] is None:
-                elements[index] = entry_to_wire(entry)
-        return elements[start : end + 1]  # type: ignore[return-value]
+            element = elements.get(index)
+            if element is None:
+                element = elements[index] = entry_to_wire(entry)
+            page.append(element)
+        return page
 
     def sth_body(self, now: datetime) -> Dict[str, object]:
         """The signed tree head, memoized per tree size.

@@ -15,9 +15,15 @@ line is the record plus ``"type": "entry"``; a ``get-entries`` element
 
 The decoder serves every harvested page, stored line and submitted
 chain, so it is lean: one strict base64 call per byte field and a
-table lookup per enum, with no helper frames between them.  A byte
-field that is not strict base64 (non-ASCII included), an unknown SAN
-type and an unknown entry type all raise :class:`ValueError`.
+table lookup per enum, with no helper frames between them.  A handful
+of CAs issue most logged certificates, and an issuer repeats its
+extensions byte for byte, so decoded extensions are interned by their
+wire triple ``(oid, base64 value, critical)`` in one bounded table:
+a repeated extension costs one dict lookup, and every certificate of
+an issuer shares one immutable :class:`Extension` per distinct
+extension.  A record the decoder cannot decode (a missing field, a
+wrong type, a byte field that is not strict base64, non-ASCII
+included, an unknown SAN or entry type) raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import sys
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Union
+from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.ct.log import CTLog, LogEntry
 from repro.ct.sct import SctEntryType
@@ -66,6 +72,18 @@ def _unb64(text: str) -> bytes:
 _SAN_TYPES = {kind.value: kind for kind in SanType}
 _ENTRY_TYPES = {kind.value: kind for kind in SctEntryType}
 
+#: Decoded extensions by wire triple ``(oid, base64 value, critical)``.
+#: Only strictly decoded extensions enter it.  When full it is cleared,
+#: not frozen, so one-off values (SKI, SCT lists) cannot lock an
+#: issuer's repeated extensions out.  Threads share it without a lock:
+#: each dict operation is atomic, and a race costs one equal duplicate.
+_EXTENSIONS: Dict[tuple, Extension] = {}
+_EXTENSIONS_CAP = 4096
+
+#: What indexing, unpacking and arithmetic raise on a record of the
+#: wrong shape; the decoder re-raises them as :class:`ValueError`.
+_SHAPE_ERRORS = (KeyError, TypeError, AttributeError, OverflowError)
+
 
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
@@ -89,27 +107,43 @@ def certificate_from_dict(data: Mapping[str, object]) -> Certificate:
 
     Plain loops, table lookups and one strict base64 call per byte
     field, no helper frames: this runs once per entry of every page,
-    harvest line and submitted chain.  Fields are read in
+    harvest line and submitted chain.  A repeated extension is one
+    lookup in the intern table; ``critical`` must be a JSON boolean,
+    because ``1`` and ``True`` are one dict key.  Fields are read in
     :class:`Certificate` order, so a malformed dict fails on the same
-    field, with the same message, as the ``SanType(kind)`` decoder did.
+    field, with the same message, as the ``SanType(kind)`` decoder did;
+    any shape error is re-raised as :class:`ValueError`.
     """
-    serial = data["serial"]
-    issuer_cn = data["issuer_cn"]
-    issuer_org = data["issuer_org"]
-    subject_cn = data["subject_cn"]
-    san = []
-    for kind, value in data["san"]:
-        try:
-            kind = _SAN_TYPES[kind]
-        except (KeyError, TypeError):
-            raise ValueError(f"{kind!r} is not a valid SanType") from None
-        san.append(GeneralName(kind, value))
-    not_before = datetime.fromtimestamp(data["not_before"] / 1000.0, timezone.utc)
-    not_after = datetime.fromtimestamp(data["not_after"] / 1000.0, timezone.utc)
-    public_key_id = _a2b(data["public_key_id"].encode("ascii"))
-    extensions = []
-    for oid, value, critical in data["extensions"]:
-        extensions.append(Extension(oid, _a2b(value.encode("ascii")), critical))
+    try:
+        serial = data["serial"]
+        issuer_cn = data["issuer_cn"]
+        issuer_org = data["issuer_org"]
+        subject_cn = data["subject_cn"]
+        san = []
+        for kind, value in data["san"]:
+            try:
+                kind = _SAN_TYPES[kind]
+            except (KeyError, TypeError):
+                raise ValueError(f"{kind!r} is not a valid SanType") from None
+            san.append(GeneralName(kind, value))
+        not_before = datetime.fromtimestamp(data["not_before"] / 1000.0, timezone.utc)
+        not_after = datetime.fromtimestamp(data["not_after"] / 1000.0, timezone.utc)
+        public_key_id = _a2b(data["public_key_id"].encode("ascii"))
+        extensions = []
+        for oid, value, critical in data["extensions"]:
+            if critical is not True and critical is not False:
+                raise ValueError(f"extension critical flag {critical!r} is not a boolean")
+            key = (oid, value, critical)
+            extension = _EXTENSIONS.get(key)
+            if extension is None:
+                extension = Extension(oid, _a2b(value.encode("ascii")), critical)
+                if len(_EXTENSIONS) >= _EXTENSIONS_CAP:
+                    _EXTENSIONS.clear()
+                _EXTENSIONS[key] = extension
+            extensions.append(extension)
+        signature = _a2b(data["signature"].encode("ascii"))
+    except _SHAPE_ERRORS as exc:
+        raise ValueError(str(exc)) from None
     return Certificate(
         serial,
         issuer_cn,
@@ -120,7 +154,7 @@ def certificate_from_dict(data: Mapping[str, object]) -> Certificate:
         not_after,
         public_key_id,
         tuple(extensions),
-        _a2b(data["signature"].encode("ascii")),
+        signature,
     )
 
 
@@ -139,23 +173,25 @@ def entry_from_record(record: Mapping[str, object]) -> LogEntry:
     """Invert :func:`entry_record` (extra keys, such as ``type``, are
     ignored).
 
-    Every byte field is strict base64 and every enum a known value:
-    anything else raises :class:`ValueError`.
+    Every byte field is strict base64 and every enum a known value;
+    anything else, a missing field or one of the wrong type included,
+    raises :class:`ValueError`.
     """
-    index = record["index"]
-    submitted_at = datetime.fromtimestamp(record["submitted_at"] / 1000.0, timezone.utc)
-    entry_type = record["entry_type"]
     try:
-        entry_type = _ENTRY_TYPES[entry_type]
-    except (KeyError, TypeError):
-        raise ValueError(f"{entry_type!r} is not a valid SctEntryType") from None
-    return LogEntry(
-        index,
-        submitted_at,
-        entry_type,
-        certificate_from_dict(record["certificate"]),
-        _a2b(record["leaf_input"].encode("ascii")),
-    )
+        index = record["index"]
+        submitted_at = datetime.fromtimestamp(
+            record["submitted_at"] / 1000.0, timezone.utc
+        )
+        entry_type = record["entry_type"]
+        try:
+            entry_type = _ENTRY_TYPES[entry_type]
+        except (KeyError, TypeError):
+            raise ValueError(f"{entry_type!r} is not a valid SctEntryType") from None
+        certificate = certificate_from_dict(record["certificate"])
+        leaf_input = _a2b(record["leaf_input"].encode("ascii"))
+    except _SHAPE_ERRORS as exc:
+        raise ValueError(str(exc)) from None
+    return LogEntry(index, submitted_at, entry_type, certificate, leaf_input)
 
 
 def dump_log(log: CTLog, path: Union[str, Path]) -> int:
@@ -201,6 +237,14 @@ def iter_stored_entries(
     :class:`LogStorageError` on the first undecodable line.  ``metrics``
     counts skipped lines as ``storage.corrupt_lines_skipped``.
     """
+    for _, record in _numbered_records(path, on_corrupt, metrics):
+        yield record
+
+
+def _numbered_records(
+    path: Union[str, Path], on_corrupt: str, metrics: MetricsRegistry
+) -> Iterator[Tuple[int, dict]]:
+    """:func:`iter_stored_entries` with each record's line number."""
     if on_corrupt not in ("skip", "raise"):
         raise ValueError(
             f'on_corrupt must be "skip" or "raise", got {on_corrupt!r}'
@@ -227,7 +271,7 @@ def iter_stored_entries(
                     )
                 metrics.inc("storage.corrupt_lines_skipped")
                 continue
-            yield record
+            yield number, record
 
 
 class HarvestCheckpoint:
@@ -452,11 +496,16 @@ def load_log(path: Union[str, Path], into: CTLog) -> int:
         raise ValueError("load_log requires an empty log object")
     trailer: Optional[dict] = None
     count = 0
-    for record in iter_stored_entries(path):
-        if record["type"] == "tree-head":
+    for number, record in _numbered_records(path, "skip", NULL_METRICS):
+        if record.get("type") == "tree-head":
             trailer = record
             continue
-        entry = entry_from_record(record)
+        try:
+            entry = entry_from_record(record)
+        except ValueError as exc:
+            raise LogStorageError(
+                f"undecodable entry on harvest line {number} in {path}: {exc}"
+            ) from exc
         into.tree.append(entry.leaf_input)
         into.entries.append(entry)
         count += 1

@@ -50,6 +50,9 @@ BASE_EXTENSION_OIDS = (
     "2.5.29.14",  # subjectKeyIdentifier
 )
 
+#: The RFC 6962 poison every precertificate carries.
+_POISON = Extension(POISON_EXTENSION_OID, critical=True)
+
 
 class IssuanceBug(Enum):
     """Pipeline defects reproducing the Section 3.4 incidents."""
@@ -116,12 +119,21 @@ class CertificateAuthority:
     _recent_scts: Dict[str, Tuple[SignedCertificateTimestamp, ...]] = field(
         default_factory=dict
     )
+    #: The base extensions, constant per CA: built once, shared by
+    #: every certificate it issues.
+    _base_extensions: Tuple[Extension, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.key is None:
             self.key = crypto.KeyPair.generate(f"ca:{self.name}", self.key_bits)
         if not self.issuer_cns:
             self.issuer_cns = (f"{self.name} CA",)
+        self._base_extensions = tuple(
+            Extension(oid, value=crypto.sha256(f"{oid}:{self.name}".encode())[:8])
+            for oid in BASE_EXTENSION_OIDS
+        )
 
     @property
     def issuer_key_hash(self) -> bytes:
@@ -156,9 +168,7 @@ class CertificateAuthority:
             final = self._sign(base)
             return IssuedPair(None, final, (), ())
 
-        precert = base.with_extensions(
-            list(base.extensions) + [Extension(POISON_EXTENSION_OID, critical=True)]
-        )
+        precert = base.with_extensions(base.extensions + (_POISON,))
         precert = self._sign(precert)
         scts = tuple(
             log.add_pre_chain(precert, self.issuer_key_hash, now) for log in logs
@@ -191,10 +201,6 @@ class CertificateAuthority:
         san: List[GeneralName] = [
             GeneralName(SanType.DNS, name) for name in request.dns_names
         ] + [GeneralName(SanType.IP, ip) for ip in request.ip_addresses]
-        extensions = [
-            Extension(oid, value=crypto.sha256(f"{oid}:{self.name}".encode())[:8])
-            for oid in BASE_EXTENSION_OIDS
-        ]
         return Certificate(
             serial=self.next_serial(),
             issuer_cn=issuer_cn,
@@ -206,7 +212,7 @@ class CertificateAuthority:
             public_key_id=crypto.sha256(
                 f"subscriber:{self.name}:{self._serial}".encode()
             )[:8],
-            extensions=tuple(extensions),
+            extensions=self._base_extensions,
         )
 
     def _apply_final_assembly_bug(

@@ -23,6 +23,7 @@ from repro.ct.merkle import (
     verify_consistency_proof,
     verify_inclusion_proof,
 )
+from repro.ct import server as server_module
 from repro.ct.server import (
     LogServer,
     entry_from_wire,
@@ -565,6 +566,17 @@ def test_memo_bounds_bytes_of_overlapping_pages(log_1200):
     ]
     # Each window is a ~1.1 MiB reply: 72.8 MiB if every one stayed.
     assert _memo_growth_mib(LogServer(log_1200), windows) < 24
+
+
+def test_evicted_pages_release_their_elements(log_1200, monkeypatch):
+    """An entry's element lives only while a memoized page holds it."""
+    monkeypatch.setattr(server_module, "MEMO_BYTES", 64 << 10)
+    harvest = [
+        ("/ct/v1/get-entries", f"start={start}&end={start + 31}")
+        for start in range(0, 1200, 32)
+    ]
+    # The memo keeps one 32-entry page; 1,200 elements are ~1.6 MiB.
+    assert _memo_growth_mib(LogServer(log_1200), harvest) < 0.5
 
 
 def test_memo_bounds_bytes_of_many_small_proofs(log_1200):
