@@ -18,7 +18,7 @@ from conftest import record_artifact
 from repro.ct.feed import CertFeed
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
-from repro.obs import EventLog, MetricsRegistry, replay_counters
+from repro.obs import EventLog, MetricsRegistry, replay_metrics
 from repro.util.timeutil import utc_datetime
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
 
@@ -90,7 +90,7 @@ def test_bench_live_export_overhead(request, tmp_path):
 
     # The live stream is complete: replay == final snapshot counters.
     _, _, metrics, events = runs[-1]
-    replayed = replay_counters(events.tail(100_000))
+    replayed = replay_metrics(events.tail(100_000)).counters
     counters = metrics.snapshot().counters
     assert {
         key: value

@@ -191,19 +191,12 @@ class LogAuditor:
         started = time.perf_counter()
         sth = self._log.get_sth(now)
         self.observe_sth(sth, now)
-        self.metrics.observe(
-            "auditor.poll_seconds",
-            time.perf_counter() - started,
-            log=self._log.name,
-        )
-        self.metrics.set_gauge(
-            "auditor.tree_size", sth.tree_size, log=self._log.name
-        )
-        self.events.emit(
-            "auditor_poll",
+        record(
+            self.metrics, self.events, "auditor_poll",
             log=self._log.name,
             tree_size=sth.tree_size,
             ok=len(self.report.findings) == findings_before,
+            duration_ms=round((time.perf_counter() - started) * 1e3, 3),
         )
         return sth
 

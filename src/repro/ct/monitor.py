@@ -319,21 +319,12 @@ class LogObservation:
         return (self.observed_at - self.entry.submitted_at).total_seconds()
 
 
-@dataclass(frozen=True)
-class TailNames:
-    """The event and fetch-latency histogram one kind of log tailer
-    writes; the event's counters are :data:`repro.obs.events.
-    EVENT_COUNTERS`'s, so a consumer picks one of the two constants
-    below rather than naming its own."""
-
-    event: str
-    fetch_seconds: str
-
-
-#: :class:`~repro.ct.feed.CertFeed`'s names, labelled ``log=``.
-FEED_TAIL = TailNames("feed_poll", "feed.fetch_seconds")
-#: The replay monitors' names, labelled ``monitor=, log=``.
-MONITOR_TAIL = TailNames("monitor_fetch", "monitor.fetch_seconds")
+#: The event kind :class:`~repro.ct.feed.CertFeed`'s fetches record;
+#: its metrics (``feed.*``, labelled ``log=``) come from
+#: :data:`repro.obs.events.EVENT_METRICS`.
+FEED_TAIL = "feed_poll"
+#: The replay monitors' event kind (``monitor.*``, ``monitor=, log=``).
+MONITOR_TAIL = "monitor_fetch"
 
 _HEALTH_KEYS = (
     "cursor", "entries", "errors", "retries", "successes",
@@ -353,21 +344,21 @@ class LogTail:
     skipped.  A failed ``get-sth`` over HTTP, or a page
     :func:`~repro.ct.server.page_entries` rejects, counts the same way.
 
-    Every fetch is recorded as one ``names.event`` event (with the
-    counters it moves) and, when it worked, one ``names.fetch_seconds``
-    observation, labelled with ``labels`` plus ``log=``.
+    Every fetch is recorded as one ``kind`` event, labelled with
+    ``labels`` plus ``log=``; its ``duration_ms`` feeds the fetch
+    latency histogram when the fetch worked.
     """
 
     def __init__(
         self,
-        names: TailNames,
+        kind: str,
         *,
         retry: Optional["RetryPolicy"] = None,
         metrics: MetricsRegistry = NULL_METRICS,
         events: EventLog = NULL_EVENTS,
         labels: Optional[Dict[str, str]] = None,
     ) -> None:
-        self.names = names
+        self.kind = kind
         self.retry = retry
         self.metrics = metrics
         self.events = events
@@ -411,14 +402,10 @@ class LogTail:
             fields = {"ok": True, "entries": len(entries)}
         stats["retries"] += retried
         self._stats[name] = stats
-        labels = dict(self.labels, log=name)
-        if entries is not None:
-            self.metrics.observe(
-                self.names.fetch_seconds, time.perf_counter() - started, **labels
-            )
         record(
-            self.metrics, self.events, self.names.event,
-            **labels, **fields, retried=retried,
+            self.metrics, self.events, self.kind,
+            **dict(self.labels, log=name), **fields, retried=retried,
+            duration_ms=round((time.perf_counter() - started) * 1e3, 3),
         )
         return entries or []
 
@@ -775,10 +762,6 @@ class LightweightMonitor:
         after = transport.stats()
         entries = after["entries"] - before["entries"]
         moved = after["bytes"] - before["bytes"]
-        self.metrics.set_gauge(
-            "monitor.verified_tree_size", sth.tree_size,
-            monitor=self.name, log=name,
-        )
         record(
             self.metrics, self.events, "lightweight_poll",
             monitor=self.name, log=name, tree_size=sth.tree_size,

@@ -74,9 +74,6 @@ from repro.x509.certificate import Certificate
 #: Default ceiling on entries folded per merge.
 DEFAULT_MAX_BATCH = 256
 
-#: Histogram bounds for merge batch sizes (entries per merge).
-BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
-
 #: How long a duplicate submission waits for the original submitter's
 #: in-flight SCT signature before giving up (defensive; signing takes
 #: microseconds-to-milliseconds).
@@ -390,7 +387,14 @@ class LogSequencer:
                 self._entries_merged += len(batch)
                 self._max_batch_merged = max(self._max_batch_merged, len(batch))
                 self._max_lag_s = max(self._max_lag_s, lag)
-                self._note_merge(batch, lag, depth, size)
+                self._metrics.set_gauge(
+                    "sequencer.pending_depth", depth, log=self.log.name
+                )
+                record(
+                    self._metrics, self._events, "sequencer_merge",
+                    log=self.log.name, batch=len(batch), tree_size=size,
+                    max_lag_ms=round(lag * 1e3, 3),
+                )
                 span.set("merged", len(batch))
                 span.set("tree_size", size)
                 span.set("lag_s", round(lag, 6))
@@ -508,33 +512,8 @@ class LogSequencer:
             "max_lag_s": self._max_lag_s,
         }
 
-    # -- obs wiring ----------------------------------------------------------
-
-    def _note_merge(
-        self,
-        batch: List[_PendingEntry],
-        lag_s: float,
-        depth: int,
-        tree_size: int,
-    ) -> None:
-        name = self.log.name
-        self._metrics.observe(
-            "sequencer.merge_batch_size",
-            len(batch),
-            bounds=BATCH_SIZE_BOUNDS,
-            log=name,
-        )
-        self._metrics.observe("sequencer.merge_lag_seconds", lag_s, log=name)
-        self._metrics.set_gauge("sequencer.pending_depth", depth, log=name)
-        record(
-            self._metrics, self._events, "sequencer_merge",
-            log=name, batch=len(batch), tree_size=tree_size,
-            max_lag_ms=round(lag_s * 1e3, 3),
-        )
-
 
 __all__ = [
-    "BATCH_SIZE_BOUNDS",
     "DEFAULT_MAX_BATCH",
     "LogSequencer",
     "MergeResult",

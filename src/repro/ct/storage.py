@@ -109,25 +109,45 @@ def certificate_from_dict(data: Mapping[str, object]) -> Certificate:
     field, no helper frames: this runs once per entry of every page,
     harvest line and submitted chain.  A repeated extension is one
     lookup in the intern table; ``critical`` must be a JSON boolean,
-    because ``1`` and ``True`` are one dict key.  Fields are read in
+    because ``1`` and ``True`` are one dict key.  ``serial`` and the
+    validity bounds must be non-negative integers (not booleans), the
+    names and SAN values strings, so a chain the log would fail to
+    hash or would sign as garbage is rejected here.  Fields are read in
     :class:`Certificate` order, so a malformed dict fails on the same
     field, with the same message, as the ``SanType(kind)`` decoder did;
     any shape error is re-raised as :class:`ValueError`.
     """
     try:
         serial = data["serial"]
+        if type(serial) is not int or serial < 0:
+            raise ValueError(f"serial {serial!r} is not a non-negative integer")
         issuer_cn = data["issuer_cn"]
         issuer_org = data["issuer_org"]
         subject_cn = data["subject_cn"]
+        if (
+            type(issuer_cn) is not str
+            or type(issuer_org) is not str
+            or type(subject_cn) is not str
+        ):
+            raise ValueError("issuer_cn, issuer_org and subject_cn must be strings")
         san = []
         for kind, value in data["san"]:
             try:
                 kind = _SAN_TYPES[kind]
             except (KeyError, TypeError):
                 raise ValueError(f"{kind!r} is not a valid SanType") from None
+            if type(value) is not str:
+                raise ValueError(f"SAN value {value!r} is not a string")
             san.append(GeneralName(kind, value))
-        not_before = datetime.fromtimestamp(data["not_before"] / 1000.0, timezone.utc)
-        not_after = datetime.fromtimestamp(data["not_after"] / 1000.0, timezone.utc)
+        not_before = data["not_before"]
+        not_after = data["not_after"]
+        if (
+            type(not_before) is not int or not_before < 0
+            or type(not_after) is not int or not_after < 0
+        ):
+            raise ValueError("not_before and not_after must be non-negative integers")
+        not_before = datetime.fromtimestamp(not_before / 1000.0, timezone.utc)
+        not_after = datetime.fromtimestamp(not_after / 1000.0, timezone.utc)
         public_key_id = _a2b(data["public_key_id"].encode("ascii"))
         extensions = []
         for oid, value, critical in data["extensions"]:
@@ -173,12 +193,14 @@ def entry_from_record(record: Mapping[str, object]) -> LogEntry:
     """Invert :func:`entry_record` (extra keys, such as ``type``, are
     ignored).
 
-    Every byte field is strict base64 and every enum a known value;
-    anything else, a missing field or one of the wrong type included,
-    raises :class:`ValueError`.
+    Every byte field is strict base64, every enum a known value and
+    ``index`` a non-negative integer; anything else, a missing field
+    or one of the wrong type included, raises :class:`ValueError`.
     """
     try:
         index = record["index"]
+        if type(index) is not int or index < 0:
+            raise ValueError(f"index {index!r} is not a non-negative integer")
         submitted_at = datetime.fromtimestamp(
             record["submitted_at"] / 1000.0, timezone.utc
         )

@@ -5,10 +5,8 @@ package is how those runs describe themselves.  Everything is
 dependency-free and deterministic where it matters:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters,
-  gauges, histograms) whose :class:`MetricsSnapshot` is picklable,
-  JSON-exportable with sorted keys, and merges associatively and
-  commutatively — per-shard metrics survive process-pool workers and
-  reduce bit-identically;
+  gauges, histograms) whose :class:`MetricsSnapshot` is picklable and
+  JSON-exportable with sorted keys;
 * :mod:`repro.obs.trace` — :class:`SpanTracer`, a thread-safe
   context-manager span stack with wall-time, nesting, trace-context
   identity, and JSON export;
@@ -27,10 +25,10 @@ dependency-free and deterministic where it matters:
 * :mod:`repro.obs.events` — :class:`EventLog`, a structured JSONL
   event stream (run/shard lifecycle, per-log fetch outcomes) with
   per-run correlation IDs, :func:`record` (one call per operation:
-  its event, and the counters :data:`EVENT_COUNTERS` derives from it),
-  :func:`replay_counters` to fold the stream back into those
-  counters, and :class:`SnapshotDeltaFlusher` for interval-based live
-  counter deltas;
+  its event, and the counters, gauges and histograms
+  :data:`EVENT_METRICS` derives from its fields), :func:`replay_metrics`
+  to fold the stream back into that snapshot, and
+  :class:`SnapshotDeltaFlusher` for interval-based live counter deltas;
 * :mod:`repro.obs.health` — the per-log SLO engine:
   :func:`evaluate_stats` folds fetch counters into
   ``healthy|degraded|failing`` verdicts under an :class:`SloPolicy`.
@@ -55,8 +53,8 @@ artifact), and the benchmark harness (JSON sidecars).
 """
 
 from repro.obs.events import (
-    EVENT_COUNTERS,
     EVENT_KINDS,
+    EVENT_METRICS,
     EVENT_SCHEMA_VERSION,
     NULL_EVENTS,
     EventLog,
@@ -65,7 +63,7 @@ from repro.obs.events import (
     new_run_id,
     read_events,
     record,
-    replay_counters,
+    replay_metrics,
 )
 from repro.obs.export import (
     EXPOSITION_CONTENT_TYPE,
@@ -116,8 +114,8 @@ __all__ = [
     "COUNT_BOUNDS",
     "DEFAULT_POLICY",
     "DEFAULT_TIME_BOUNDS",
-    "EVENT_COUNTERS",
     "EVENT_KINDS",
+    "EVENT_METRICS",
     "EVENT_SCHEMA_VERSION",
     "EXPOSITION_CONTENT_TYPE",
     "NULL_EVENTS",
@@ -161,6 +159,6 @@ __all__ = [
     "record",
     "render_lifecycles",
     "render_prometheus",
-    "replay_counters",
+    "replay_metrics",
     "split_metric_key",
 ]

@@ -19,12 +19,15 @@ lifecycle, retries, degradation, checkpoint resume), the feed and the
 monitors (per-log fetch outcomes), the STH auditor, the log server
 (one event per request) and the sequencer (one per merge).
 
-An operation that moves counters is recorded once, by :func:`record`:
-it emits the operation's event and moves the counters that
-:data:`EVENT_COUNTERS` derives from that event.  :func:`replay_counters`
-folds the same table over a recorded stream, so the event log and the
-final :class:`~repro.obs.metrics.MetricsSnapshot` are two views of one
-record.
+An operation is recorded once, by :func:`record`: it emits the
+operation's event and moves the counters, gauges and histograms that
+:data:`EVENT_METRICS` derives from that event's fields (durations
+travel as rounded ``*_ms`` fields).  :func:`replay_metrics` folds the
+same table over a recorded stream, so the event log and the final
+:class:`~repro.obs.metrics.MetricsSnapshot` are two views of one
+record.  Metrics of operations that have no event (retries, the
+reduce step, corpus builds, sequencer dedup hits and queue depth) are
+still moved directly.
 
 :class:`SnapshotDeltaFlusher` is the live-export half: it diffs the
 registry against the last flush on an interval and emits the delta as
@@ -51,13 +54,21 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     TextIO,
     Tuple,
     Union,
 )
 
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, Number
+from repro.obs.metrics import (
+    BATCH_SIZE_BOUNDS,
+    DEFAULT_TIME_BOUNDS,
+    NULL_METRICS,
+    MetricsRegistry,
+    MetricsSnapshot,
+    Number,
+)
 
 #: Event schema version; bump on any envelope change.
 #: v2: added the ``span`` kind (distributed-tracing span records).
@@ -132,7 +143,7 @@ class EventLog:
         self.path = Path(path) if path is not None else None
         self.run_id = run_id if run_id is not None else new_run_id()
         self._clock = clock if clock is not None else time.time
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._seq = 0
         self._tail: Deque[Dict[str, object]] = deque(maxlen=tail_size)
         self._file: Optional[TextIO] = (
@@ -225,7 +236,20 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, object]]:
 
 
 Amount = Callable[[Mapping[str, Any]], Optional[Number]]
-CounterRule = Tuple[str, Tuple[Tuple[str, str], ...], Amount]
+
+
+class MetricRule(NamedTuple):
+    """One instrument an event moves: ``instrument`` is ``"inc"`` (a
+    counter), ``"set"`` (a gauge) or ``"observe"`` (a histogram with
+    ``bounds``); ``labels`` pairs each label with the event field that
+    carries its value; ``amount(event)`` is the increment, value or
+    observation, ``None`` when the event leaves the metric alone."""
+
+    instrument: str
+    metric: str
+    labels: Tuple[Tuple[str, str], ...]
+    amount: Amount
+    bounds: Tuple[float, ...] = DEFAULT_TIME_BOUNDS
 
 
 def _one(event: Mapping[str, Any]) -> Number:
@@ -240,6 +264,18 @@ def _nonzero(name: str) -> Amount:
     return lambda event: event.get(name) or None
 
 
+def _seconds(name: str, only_ok: bool = False) -> Amount:
+    """A ``*_ms`` field as seconds (``only_ok``: on ``ok`` events only)."""
+
+    def amount(event: Mapping[str, Any]) -> Optional[Number]:
+        value = event.get(name)
+        if value is None or (only_ok and not event.get("ok")):
+            return None
+        return value / 1e3
+
+    return amount
+
+
 def _failed(event: Mapping[str, Any]) -> Optional[Number]:
     return None if event.get("ok") else 1
 
@@ -251,79 +287,133 @@ def _extra_attempts(event: Mapping[str, Any]) -> Optional[Number]:
 _LOG = (("log", "log"),)
 _MONITOR_LOG = (("monitor", "monitor"), ("log", "log"))
 
-#: Which counters each event kind moves: ``kind -> (counter, labels,
-#: amount)`` rules.  ``labels`` pairs each label with the event field
-#: that carries its value; ``amount(event)`` is the increment, ``None``
-#: when the event leaves that counter alone.  :func:`record` applies
-#: the table as an event is emitted and :func:`replay_counters` folds
-#: it over a recorded stream, so the two cannot disagree.
-EVENT_COUNTERS: Dict[str, Tuple[CounterRule, ...]] = {
+#: Which metrics each event kind moves: ``kind -> MetricRule``s.
+#: :func:`record` applies the table as an event is emitted and
+#: :func:`replay_metrics` folds it over a recorded stream, so the two
+#: cannot disagree.
+EVENT_METRICS: Dict[str, Tuple[MetricRule, ...]] = {
     "feed_poll": (
-        ("feed.entries", _LOG, _field("entries")),
-        ("feed.poll_errors", _LOG, _failed),
-        ("feed.poll_retries", _LOG, _nonzero("retried")),
+        MetricRule("inc", "feed.entries", _LOG, _field("entries")),
+        MetricRule("inc", "feed.poll_errors", _LOG, _failed),
+        MetricRule("inc", "feed.poll_retries", _LOG, _nonzero("retried")),
+        MetricRule(
+            "observe", "feed.fetch_seconds", _LOG,
+            _seconds("duration_ms", only_ok=True),
+        ),
     ),
     "monitor_fetch": (
-        ("monitor.entries", _MONITOR_LOG, _field("entries")),
-        ("monitor.errors", _MONITOR_LOG, _failed),
-        ("monitor.retries", _MONITOR_LOG, _nonzero("retried")),
+        MetricRule("inc", "monitor.entries", _MONITOR_LOG, _field("entries")),
+        MetricRule("inc", "monitor.errors", _MONITOR_LOG, _failed),
+        MetricRule("inc", "monitor.retries", _MONITOR_LOG, _nonzero("retried")),
+        MetricRule(
+            "observe", "monitor.fetch_seconds", _MONITOR_LOG,
+            _seconds("duration_ms", only_ok=True),
+        ),
     ),
     "lightweight_poll": (
-        ("monitor.wire_entries", _MONITOR_LOG, _field("wire_entries")),
-        ("monitor.wire_bytes", _MONITOR_LOG, _field("wire_bytes")),
-        ("monitor.matches", _MONITOR_LOG, _field("matches")),
+        MetricRule("inc", "monitor.wire_entries", _MONITOR_LOG, _field("wire_entries")),
+        MetricRule("inc", "monitor.wire_bytes", _MONITOR_LOG, _field("wire_bytes")),
+        MetricRule("inc", "monitor.matches", _MONITOR_LOG, _field("matches")),
+        MetricRule(
+            "set", "monitor.verified_tree_size", _MONITOR_LOG, _field("tree_size")
+        ),
+    ),
+    "auditor_poll": (
+        MetricRule("observe", "auditor.poll_seconds", _LOG, _seconds("duration_ms")),
+        MetricRule("set", "auditor.tree_size", _LOG, _field("tree_size")),
     ),
     "audit_finding": (
-        ("auditor.findings", (("log", "log"), ("kind", "finding")), _one),
+        MetricRule(
+            "inc", "auditor.findings", (("log", "log"), ("kind", "finding")), _one
+        ),
     ),
     "log_server_request": (
-        ("log_server.responses", (("endpoint", "endpoint"), ("status", "status")), _one),
+        MetricRule(
+            "inc", "log_server.responses",
+            (("endpoint", "endpoint"), ("status", "status")), _one,
+        ),
+        MetricRule(
+            "observe", "log_server.request_seconds",
+            (("endpoint", "endpoint"),), _seconds("duration_ms"),
+        ),
     ),
     "sequencer_merge": (
-        ("sequencer.merges", _LOG, _one),
-        ("sequencer.entries_merged", _LOG, _field("batch")),
+        MetricRule("inc", "sequencer.merges", _LOG, _one),
+        MetricRule("inc", "sequencer.entries_merged", _LOG, _field("batch")),
+        MetricRule(
+            "observe", "sequencer.merge_batch_size", _LOG, _field("batch"),
+            BATCH_SIZE_BOUNDS,
+        ),
+        MetricRule(
+            "observe", "sequencer.merge_lag_seconds", _LOG, _seconds("max_lag_ms")
+        ),
     ),
-    "checkpoint_resume": (("pipeline.shards_resumed", (), _field("shards")),),
-    "map_start": (("pipeline.shards_planned", (), _field("shards")),),
+    "checkpoint_resume": (
+        MetricRule("inc", "pipeline.shards_resumed", (), _field("shards")),
+        MetricRule("set", "pipeline.checkpoint_hit_rate", (), _field("hit_rate")),
+    ),
+    "map_start": (MetricRule("inc", "pipeline.shards_planned", (), _field("shards")),),
     "shard_finish": (
-        ("pipeline.shards_completed", (), _one),
-        ("pipeline.shard_attempts", (), _field("attempts")),
-        ("pipeline.shard_retries", (), _extra_attempts),
-        ("pipeline.retries_total", (), _extra_attempts),
+        MetricRule("inc", "pipeline.shards_completed", (), _one),
+        MetricRule("inc", "pipeline.shard_attempts", (), _field("attempts")),
+        MetricRule("inc", "pipeline.shard_retries", (), _extra_attempts),
+        MetricRule("inc", "pipeline.retries_total", (), _extra_attempts),
+        MetricRule("observe", "pipeline.shard_seconds", (), _seconds("duration_ms")),
+        MetricRule(
+            "observe", "pipeline.shard_queue_wait_seconds", (),
+            _seconds("queue_wait_ms"),
+        ),
     ),
     "shard_failed": (
-        ("pipeline.shards_failed", (), _one),
-        ("pipeline.shard_failures", (("shard", "shard"),), _one),
-        ("pipeline.failed_shard_attempts", (), _field("attempts")),
-        ("pipeline.retries_total", (), _extra_attempts),
+        MetricRule("inc", "pipeline.shards_failed", (), _one),
+        MetricRule("inc", "pipeline.shard_failures", (("shard", "shard"),), _one),
+        MetricRule("inc", "pipeline.failed_shard_attempts", (), _field("attempts")),
+        MetricRule("inc", "pipeline.retries_total", (), _extra_attempts),
     ),
 }
 
 
-def _count(metrics: MetricsRegistry, kind: Any, event: Mapping[str, Any]) -> None:
-    for name, labels, amount in EVENT_COUNTERS.get(kind, ()):
-        moved = amount(event)
-        if moved is not None:
-            metrics.inc(name, moved, **{label: event[field] for label, field in labels})
+def _apply(metrics: MetricsRegistry, kind: Any, event: Mapping[str, Any]) -> None:
+    for instrument, name, labels, amount, bounds in EVENT_METRICS.get(kind, ()):
+        value = amount(event)
+        if value is None:
+            continue
+        tags = {label: event[field] for label, field in labels}
+        if instrument == "observe":
+            metrics.observe(name, value, bounds, **tags)
+        elif instrument == "set":
+            metrics.set_gauge(name, value, **tags)
+        else:
+            metrics.inc(name, value, **tags)
 
 
 def record(
     metrics: MetricsRegistry, events: EventLog, kind: str, **fields: object
 ) -> None:
-    """Record one operation: move the counters :data:`EVENT_COUNTERS`
-    derives from its ``kind`` event, then emit the event."""
-    _count(metrics, kind, fields)
-    events.emit(kind, **fields)
+    """Record one operation: move the metrics :data:`EVENT_METRICS`
+    derives from its ``kind`` event, then emit the event.
+
+    Both happen under the event log's lock, so the registry sees
+    events in stream order and :func:`replay_metrics` repeats its
+    float sums and last gauge writes exactly.  Into
+    :data:`~repro.obs.metrics.NULL_METRICS` nothing would move, so the
+    event is only emitted."""
+    if metrics is NULL_METRICS:
+        events.emit(kind, **fields)
+        return
+    with events._lock:
+        _apply(metrics, kind, fields)
+        events.emit(kind, **fields)
 
 
-def replay_counters(events: Iterable[Mapping[str, object]]) -> Dict[str, Number]:
-    """The counters :func:`record` moved for ``events``: for a run with
-    metrics and events attached, equal to the final snapshot's counters
-    on every family :data:`EVENT_COUNTERS` names."""
+def replay_metrics(events: Iterable[Mapping[str, object]]) -> MetricsSnapshot:
+    """The metrics :func:`record` moved for ``events``: for a run with
+    metrics and events attached, equal to the final snapshot on every
+    family :data:`EVENT_METRICS` names."""
     replayed = MetricsRegistry()
     for event in events:
-        _count(replayed, event.get("kind"), event)
-    return replayed.snapshot().counters
+        _apply(replayed, event.get("kind"), event)
+    return replayed.snapshot()
 
 
 def counter_delta(

@@ -1,22 +1,16 @@
 """A dependency-free metrics registry with deterministic snapshots.
 
-Three instrument kinds, Prometheus-shaped but merge-first:
+Three instrument kinds, Prometheus-shaped:
 
-* **counters** — monotonically increasing numbers; merge by summing;
-* **gauges** — last-set values; merge by taking the maximum (the only
-  order-independent choice that still answers "how bad did it get");
-* **histograms** — fixed-bound buckets plus count/sum/min/max; merge
-  bucket-wise (bounds must match).
+* **counters** — monotonically increasing numbers;
+* **gauges** — last-set values;
+* **histograms** — fixed-bound buckets plus count/sum/min/max.
 
 The mutable :class:`MetricsRegistry` is process-local and thread-safe;
-a :class:`MetricsSnapshot` is the frozen, picklable view that crosses
-process-pool boundaries.  :data:`NULL_METRICS` is the registry every
+a :class:`MetricsSnapshot` is its frozen, picklable view, and JSON
+export sorts keys.  :data:`NULL_METRICS` is the registry every
 instrumented layer records into when none is attached: it records
-nothing and snapshots empty.  Snapshot merging is associative and
-commutative (integer counters and bucket counts merge exactly; float
-sums rely on IEEE addition being commutative, and are exact whenever
-the observed values are — see the merge property tests), and JSON
-export sorts keys, so any shard plan reduces to the same bytes.
+nothing and snapshots empty.
 
 Metric identity is ``name`` plus optional labels, encoded as
 ``name{key=value,...}`` with label keys sorted — the registry and the
@@ -30,7 +24,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -42,6 +36,11 @@ DEFAULT_TIME_BOUNDS: Tuple[float, ...] = (
 
 #: Bounds for small discrete quantities (retry attempt counts).
 COUNT_BOUNDS: Tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 16.0)
+
+#: Bounds for sequencer merge batch sizes (entries per merge).
+BATCH_SIZE_BOUNDS: Tuple[float, ...] = (
+    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
+)
 
 
 def metric_key(name: str, labels: Mapping[str, object]) -> str:
@@ -124,27 +123,9 @@ def _histogram_dict(hist: Histogram) -> Dict:
     }
 
 
-def _merge_histogram_dicts(left: Mapping, right: Mapping) -> Dict:
-    if tuple(left["bounds"]) != tuple(right["bounds"]):
-        raise ValueError(
-            f"cannot merge histograms with bounds {left['bounds']} != "
-            f"{right['bounds']}"
-        )
-    mins = [m for m in (left["min"], right["min"]) if m is not None]
-    maxes = [m for m in (left["max"], right["max"]) if m is not None]
-    return {
-        "bounds": list(left["bounds"]),
-        "counts": [a + b for a, b in zip(left["counts"], right["counts"])],
-        "count": left["count"] + right["count"],
-        "sum": left["sum"] + right["sum"],
-        "min": min(mins) if mins else None,
-        "max": max(maxes) if maxes else None,
-    }
-
-
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """A frozen, picklable, mergeable view of a registry.
+    """A frozen, picklable view of a registry.
 
     ``histograms`` values are plain dicts with keys ``bounds``,
     ``counts``, ``count``, ``sum``, ``min``, ``max`` — the JSON schema
@@ -186,30 +167,6 @@ class MetricsSnapshot:
             for key, value in self.counters.items()
             if key.startswith(opening)
         }
-
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        counters = dict(self.counters)
-        for key, value in other.counters.items():
-            counters[key] = counters.get(key, 0) + value
-        gauges = dict(self.gauges)
-        for key, value in other.gauges.items():
-            gauges[key] = max(gauges[key], value) if key in gauges else value
-        histograms = {key: dict(hist) for key, hist in self.histograms.items()}
-        for key, hist in other.histograms.items():
-            if key in histograms:
-                histograms[key] = _merge_histogram_dicts(histograms[key], hist)
-            else:
-                histograms[key] = dict(hist)
-        return MetricsSnapshot(counters, gauges, histograms)
-
-    @classmethod
-    def merge_all(cls, snapshots: Iterable["MetricsSnapshot"]) -> "MetricsSnapshot":
-        merged = cls.empty()
-        for snapshot in snapshots:
-            merged = merged.merge(snapshot)
-        return merged
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -262,11 +219,10 @@ class MetricsRegistry:
     Instruments are created on first touch and identified by
     ``metric_key(name, labels)``.  Thread-safe: one internal lock
     covers registration, recording through :meth:`inc` /
-    :meth:`set_gauge` / :meth:`observe`, :meth:`snapshot` and
-    :meth:`absorb`, so handler threads and a merge worker can share
-    one registry.  The lock is recreated on unpickle, so a registry
-    crosses a process pool as a copy; pool workers' snapshots are
-    merged back via :meth:`absorb`.
+    :meth:`set_gauge` / :meth:`observe` and :meth:`snapshot`, so
+    handler threads and a merge worker can share one registry.  The
+    lock is recreated on unpickle, so a registry crosses a process
+    pool as a copy.
     """
 
     def __init__(self) -> None:
@@ -342,25 +298,6 @@ class MetricsRegistry:
                 },
             )
 
-    def absorb(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a snapshot (e.g. from a pool worker) into this registry."""
-        with self._lock:
-            for key, value in snapshot.counters.items():
-                self._counters.setdefault(key, Counter()).inc(value)
-            for key, value in snapshot.gauges.items():
-                if key in self._gauges:
-                    value = max(self._gauges[key].value, value)
-                self._gauges.setdefault(key, Gauge()).set(value)
-            for key, hist_data in snapshot.histograms.items():
-                hist = self._histograms.get(key)
-                if hist is None:
-                    hist = self._histograms[key] = Histogram(
-                        tuple(hist_data["bounds"])
-                    )
-                merged = _merge_histogram_dicts(_histogram_dict(hist), hist_data)
-                for name in ("counts", "count", "sum", "min", "max"):
-                    setattr(hist, name, merged[name])
-
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
@@ -405,9 +342,6 @@ class _NullMetrics(MetricsRegistry):
 
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot()
-
-    def absorb(self, snapshot: MetricsSnapshot) -> None:
-        pass
 
     def __reduce__(self) -> str:
         return "NULL_METRICS"

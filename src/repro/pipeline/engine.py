@@ -31,7 +31,7 @@ from concurrent.futures import (
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import NULL_EVENTS, EventLog, record
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanTracer
 from repro.pipeline.shard import DEFAULT_SHARD_SIZE
 from repro.resilience.degrade import (
@@ -63,16 +63,15 @@ def _run_task(
     task: Any,
     retry: Optional[RetryPolicy],
     submitted_at: float,
-) -> Tuple[Any, int, MetricsSnapshot]:
+) -> Tuple[Any, int, float, float]:
     """Execute one shard (module-level so process pools can pickle it).
 
-    Returns ``(result, attempts, metrics)``; the retry loop runs
-    *inside* the worker, so transient faults never cross the pool
-    boundary.  The worker times itself into a local registry and ships
-    the snapshot back with the result — that's how per-shard metrics
-    survive a process pool.  ``submitted_at`` is a ``time.time()``
-    stamp taken at submission; the gap to the worker picking the task
-    up is the shard's queue wait.
+    Returns ``(result, attempts, seconds, queue_wait)``; the retry loop
+    runs *inside* the worker, so transient faults never cross the pool
+    boundary.  ``seconds`` is the shard's own run time; ``submitted_at``
+    is a ``time.time()`` stamp taken at submission, and the gap to the
+    worker picking the task up is the shard's ``queue_wait``.  Both
+    travel back as plain numbers into the ``shard_finish`` event.
     """
     queue_wait = max(0.0, time.time() - submitted_at)
     started = time.perf_counter()
@@ -81,10 +80,7 @@ def _run_task(
     else:
         outcome = retry.run(lambda: map_fn(task))
         value, attempts = outcome.value, outcome.attempts
-    local = MetricsRegistry()
-    local.observe("pipeline.shard_seconds", time.perf_counter() - started)
-    local.observe("pipeline.shard_queue_wait_seconds", queue_wait)
-    return value, attempts, local.snapshot()
+    return value, attempts, time.perf_counter() - started, queue_wait
 
 
 def _failure_attempts(exc: BaseException) -> int:
@@ -125,10 +121,10 @@ class PipelineEngine:
         A :class:`repro.obs.MetricsRegistry`; every run records
         per-shard duration/queue-wait histograms, attempt/retry
         counters, failed/degraded shard counters (with a per-shard
-        ``shard=`` label on failures), and checkpoint resume hit rate.
-        Workers time themselves into local registries whose snapshots
-        merge back deterministically, so serial and parallel runs
-        report identical counter totals.
+        ``shard=`` label on failures), and checkpoint resume hit rate,
+        all derived from the run's events.  Workers return their
+        timings with their results, so serial and parallel runs report
+        identical counter totals.
     tracer:
         A :class:`repro.obs.SpanTracer`; ``map_reduce`` records nested
         ``pipeline.map_reduce`` / ``pipeline.map`` / ``pipeline.reduce``
@@ -222,9 +218,6 @@ class PipelineEngine:
                     resumed += 1
             pending = [i for i in pending if i not in done]
             if tasks:
-                self.metrics.set_gauge(
-                    "pipeline.checkpoint_hit_rate", resumed / len(tasks)
-                )
                 record(
                     self.metrics, self.events, "checkpoint_resume",
                     shards=resumed, hit_rate=resumed / len(tasks),
@@ -237,7 +230,7 @@ class PipelineEngine:
         retries = 0
 
         def finish(
-            index: int, value: Any, attempts: int, snap: MetricsSnapshot
+            index: int, value: Any, attempts: int, seconds: float, queue_wait: float
         ) -> None:
             nonlocal retries
             retries += attempts - 1
@@ -246,10 +239,11 @@ class PipelineEngine:
                 checkpoint.record(
                     index, encode(value) if encode else value, attempts=attempts
                 )
-            self.metrics.absorb(snap)
             record(
                 self.metrics, self.events, "shard_finish",
                 shard=index, attempts=attempts,
+                duration_ms=round(seconds * 1e3, 3),
+                queue_wait_ms=round(queue_wait * 1e3, 3),
             )
 
         def fail(index: int, exc: BaseException) -> None:
@@ -271,13 +265,13 @@ class PipelineEngine:
             if self.serial or len(pending) <= 1:
                 for index in pending:
                     try:
-                        value, attempts, snap = _run_task(
+                        outcome = _run_task(
                             map_fn, tasks[index], self.retry, time.time()
                         )
                     except Exception as exc:
                         fail(index, exc)
                         continue
-                    finish(index, value, attempts, snap)
+                    finish(index, *outcome)
             else:
                 pool_cls = (
                     ProcessPoolExecutor
@@ -297,11 +291,11 @@ class PipelineEngine:
                     for future in as_completed(futures):
                         index = futures[future]
                         try:
-                            value, attempts, snap = future.result()
+                            outcome = future.result()
                         except Exception as exc:
                             fail(index, exc)
                             continue
-                        finish(index, value, attempts, snap)
+                        finish(index, *outcome)
 
         if self.degrading:
             report = DegradationReport(

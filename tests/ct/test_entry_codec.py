@@ -309,6 +309,30 @@ MALFORMED_RECORDS = {
     "extension-value-int": _with_extension_field(1, 7),
     "extension-value-unhashable": _with_extension_field(1, ["AAAA"]),
     "extension-oid-unhashable": _with_extension_field(0, ["2.5.29.19"]),
+    "index-string": lambda record: {**record, "index": "x"},
+    "index-negative": lambda record: {**record, "index": -1},
+    "index-bool": lambda record: {**record, "index": False},
+    "serial-string": _with_certificate(serial="x"),
+    "serial-negative": _with_certificate(serial=-1),
+    "serial-bool": _with_certificate(serial=True),
+    "subject-cn-int": _with_certificate(subject_cn=5),
+    "issuer-cn-null": _with_certificate(issuer_cn=None),
+    "issuer-org-int": _with_certificate(issuer_org=7),
+    "san-value-int": _with_certificate(san=[["dns", 5]]),
+    "not-before-negative": _with_certificate(not_before=-1),
+    "not-before-bool": _with_certificate(not_before=True),
+    "not-after-float": _with_certificate(not_after=1.5e12),
+}
+
+#: Chains of one precertificate whose scalar fields have the wrong
+#: type or sign; the log must neither sign nor append them.
+MALFORMED_CHAIN_FIELDS = {
+    "serial-string": {"serial": "x"},
+    "serial-negative": {"serial": -1},
+    "subject-cn-int": {"subject_cn": 5},
+    "issuer-cn-null": {"issuer_cn": None},
+    "san-value-int": {"san": [["dns", 5]]},
+    "not-before-bool": {"not_before": True},
 }
 
 
@@ -331,6 +355,33 @@ def test_malformed_record_raises_value_error(log, shape):
 def test_malformed_element_raises_value_error(element):
     with pytest.raises(ValueError):
         entry_from_wire(element)
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_CHAIN_FIELDS))
+def test_add_pre_chain_with_malformed_scalar_is_400(log, now, monkeypatch, shape):
+    ca = CertificateAuthority("Scalar CA", key_bits=256)
+    scratch = CTLog(name="Scalar Scratch", operator="T", key=log_key("S", 256))
+    pair = ca.issue(IssuanceRequest(("scalar.codec.example",)), [scratch], now)
+    chain = certificate_to_dict(pair.precertificate)
+    chain.update(MALFORMED_CHAIN_FIELDS[shape])
+    body = json.dumps(
+        {
+            "chain": [chain],
+            "issuer_key_hash": base64.b64encode(ca.issuer_key_hash).decode(),
+        }
+    ).encode()
+    signed = []
+    sign_sct = log.sign_sct
+    monkeypatch.setattr(
+        log, "sign_sct", lambda *args: signed.append(args) or sign_sct(*args)
+    )
+    size = log.size
+    status, payload, _ = LogServer(log, clock=lambda: now).handle_request(
+        "POST", "/ct/v1/add-pre-chain", "", body
+    )
+    assert (status, payload["code"]) == (400, 400), payload
+    assert payload["error"].startswith("malformed chain: ")
+    assert signed == [] and log.size == size
 
 
 def test_malformed_harvest_line_names_the_line(log, tmp_path):

@@ -23,7 +23,7 @@ from repro.ct.monitor import (
 )
 from repro.ct.sequencer import LogSequencer
 from repro.ct.server import LogServer
-from repro.obs import EventLog, MetricsRegistry, replay_counters
+from repro.obs import EventLog, MetricsRegistry, replay_metrics
 from repro.x509.ca import CertificateAuthority, IssuanceRequest
 
 
@@ -228,7 +228,7 @@ def test_obs_wiring_and_replay_parity(log, now):
     }
     replayed = {
         key: value
-        for key, value in replay_counters(records).items()
+        for key, value in replay_metrics(records).counters.items()
         if key.startswith("monitor.")
     }
     assert live == replayed

@@ -15,7 +15,7 @@ from repro.ct.feed import CertFeed
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
 from repro.ct.monitor import BatchMonitor, StreamingMonitor
-from repro.obs.events import EventLog, replay_counters
+from repro.obs.events import EventLog, replay_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FlakyLog, RetryPolicy
 from repro.util.rng import SeededRng
@@ -180,6 +180,6 @@ def test_replayed_events_equal_the_snapshot_counters(tail_run):
         }
 
     snapshot = tail_counters(run.metrics.snapshot().counters)
-    assert tail_counters(replay_counters(run.events.tail(10_000))) == snapshot
+    assert tail_counters(replay_metrics(run.events.tail(10_000)).counters) == snapshot
     # Every family was exercised.
     assert {key.split("{")[0] for key in snapshot} == set(families)

@@ -24,7 +24,7 @@ from repro.obs import (
     MetricsRegistry,
     TelemetryServer,
     parse_exposition,
-    replay_counters,
+    replay_metrics,
 )
 from repro.pipeline import PipelineEngine
 from repro.util.timeutil import utc_datetime
@@ -132,7 +132,7 @@ def test_scrape_feed_loop_while_running():
         ] == rounds
 
     # --- replay equality: the event stream IS the counter history
-    replayed = replay_counters(events.tail(100_000))
+    replayed = replay_metrics(events.tail(100_000)).counters
     counters = metrics.snapshot().counters
     for family in ("feed.entries", "feed.poll_errors", "feed.poll_retries"):
         expected = {
@@ -179,6 +179,6 @@ def test_scrape_engine_run(executor):
         planned = samples["repro_pipeline_shards_planned_total"]
         assert planned == samples["repro_pipeline_shards_completed_total"]
         assert planned > 1
-    replayed = replay_counters(events.tail(10_000))
+    replayed = replay_metrics(events.tail(10_000)).counters
     assert replayed["pipeline.shards_planned"] == planned
     assert replayed["pipeline.shards_completed"] == planned

@@ -2,11 +2,15 @@
 
 import base64
 import json
+import random
+import sys
+import threading
 from collections import Counter
 from datetime import timedelta
 
 import pytest
 
+from repro.ct.auditor import LogAuditor
 from repro.ct.feed import CertFeed
 from repro.ct.log import CTLog
 from repro.ct.loglist import log_key
@@ -15,8 +19,8 @@ from repro.ct.sequencer import LogSequencer
 from repro.ct.server import LogServer
 from repro.ct.storage import certificate_to_dict
 from repro.obs import (
-    EVENT_COUNTERS,
     EVENT_KINDS,
+    EVENT_METRICS,
     EVENT_SCHEMA_VERSION,
     EventLog,
     MetricsRegistry,
@@ -25,9 +29,11 @@ from repro.obs import (
     counter_delta,
     new_run_id,
     read_events,
-    replay_counters,
+    record,
+    replay_metrics,
 )
 from repro.obs.events import ENVELOPE_FIELDS
+from tests.obs.derived import FAMILIES, derived, families
 from repro.pipeline import PipelineEngine
 from repro.resilience import FlakyLog, RetryPolicy, TransientLogError
 from repro.util.rng import SeededRng
@@ -131,7 +137,7 @@ class TestReplayEquality:
             ca.issue(IssuanceRequest((f"r{round_no}.example",)), [log_a], when)
             ca.issue(IssuanceRequest((f"f{round_no}.example",)), [flaky], when)
             feed.poll(when)
-        replayed = replay_counters(events.tail(10_000))
+        replayed = replay_metrics(events.tail(10_000)).counters
         snapshot = metrics.snapshot()
         assert _counters(snapshot, "feed.entries") == {
             key: value
@@ -166,7 +172,7 @@ class TestReplayEquality:
             monitor.observe(flaky)
             ca.issue(IssuanceRequest((f"n{round_no}.example",)), [log_a], when)
             monitor.observe(log_a)
-        replayed = replay_counters(events.tail(10_000))
+        replayed = replay_metrics(events.tail(10_000)).counters
         snapshot = metrics.snapshot()
         monitor_families = {
             key: value
@@ -183,7 +189,7 @@ class TestReplayEquality:
         )
         results = engine.map(_double, list(range(17)))
         assert results == [2 * n for n in range(17)]
-        replayed = replay_counters(events.tail(10_000))
+        replayed = replay_metrics(events.tail(10_000)).counters
         snapshot = metrics.snapshot()
         for family in (
             "pipeline.shards_planned",
@@ -238,8 +244,9 @@ def _submit(server, ca, log, name):
 
 
 def test_every_derived_counter_replays_from_one_world():
-    """One run through every kind :data:`EVENT_COUNTERS` counts: the
-    replayed events equal the snapshot on every family it names."""
+    """One run through every kind :data:`EVENT_METRICS` derives from:
+    the replayed events equal the snapshot on every family it names,
+    counters, gauges and histograms alike."""
     metrics, events = MetricsRegistry(), EventLog()
     rng = SeededRng(5, "parity")
     ca = CertificateAuthority("Parity CA", key_bits=256)
@@ -265,6 +272,9 @@ def test_every_derived_counter_replays_from_one_world():
         LightweightMonitor(
             "light", ["watched.example"], key=key, metrics=metrics, events=events
         ).poll(tailed, NOW)
+
+    # An auditor polling the tailed log's head.
+    LogAuditor(tailed, metrics=metrics, events=events).poll(NOW)
 
     # A log server answering 200, 429 and 410 in-process.
     capped = CTLog(
@@ -304,19 +314,10 @@ def test_every_derived_counter_replays_from_one_world():
     )
     assert list(mapped) == [0, 2, 4, None]
 
-    families = {rule[0] for rules in EVENT_COUNTERS.values() for rule in rules}
-
-    def derived(counters):
-        return {
-            key: value
-            for key, value in counters.items()
-            if key.split("{")[0] in families
-        }
-
-    snapshot = derived(metrics.snapshot().counters)
-    assert derived(replay_counters(events.tail(10_000))) == snapshot
+    snapshot = derived(metrics.snapshot())
+    assert derived(replay_metrics(events.tail(10_000))) == snapshot
     # The world moved every family the table names.
-    assert {key.split("{")[0] for key in snapshot} == families
+    assert families(snapshot) == FAMILIES
 
 
 class TestDeltaFlushing:
@@ -389,3 +390,59 @@ class TestDeltaFlushing:
             CertFeed([log_a], flush_interval_s=1.0)
         feed = CertFeed([log_a])
         assert feed.flush_telemetry() is False
+
+
+def _random_fields(rng):
+    """Every field any :data:`EVENT_METRICS` rule reads, at random."""
+    return {
+        "log": rng.choice(("a", "b")),
+        "monitor": rng.choice(("m1", "m2")),
+        "endpoint": rng.choice(("get-sth", "get-entries")),
+        "status": rng.choice((200, 400)),
+        "finding": "split-view",
+        "shard": rng.randrange(3),
+        "ok": rng.random() < 0.7,
+        "attempts": rng.randint(1, 3),
+        "hit_rate": rng.random(),
+        **{
+            field: rng.randrange(50)
+            for field in (
+                "entries", "retried", "wire_entries", "wire_bytes",
+                "matches", "tree_size", "batch", "shards",
+            )
+        },
+        **{
+            field: round(rng.uniform(0, 80), 3)
+            for field in ("duration_ms", "max_lag_ms", "queue_wait_ms")
+        },
+    }
+
+
+def test_threads_recording_one_stream_replay_it_exactly(tmp_path):
+    """Four threads record random events into one registry and one
+    event file; the file replays to the registry's snapshot, float
+    sums and last gauge writes included."""
+    metrics, path = MetricsRegistry(), tmp_path / "events.jsonl"
+    kinds = sorted(EVENT_METRICS)
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            record(metrics, events, rng.choice(kinds), **_random_fields(rng))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads often
+    try:
+        with EventLog(path) as events:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(read_events(path)) == 4 * 300
+    snapshot = derived(metrics.snapshot())
+    assert derived(replay_metrics(read_events(path))) == snapshot
+    assert families(snapshot) == FAMILIES

@@ -119,8 +119,8 @@ def test_split_metric_key_round_trip():
     assert split_metric_key("m{log=a,b}") == ("m", {"log": "a,b"})
 
 
-def _random_snapshot(rnd):
-    registry = MetricsRegistry()
+def _random_increments(rnd):
+    increments = []
     for _ in range(rnd.randint(0, 20)):
         name = rnd.choice(["a.counter", "b.feed", "c.pipeline"])
         labels = {}
@@ -130,18 +130,26 @@ def _random_snapshot(rnd):
             )
         if rnd.random() < 0.3:
             labels["monitor"] = rnd.choice(["m1", "m2"])
-        registry.inc(name, rnd.randint(1, 5), **labels)
-    return registry.snapshot()
+        increments.append((name, rnd.randint(1, 5), labels))
+    return increments
+
+
+def _render(*streams):
+    registry = MetricsRegistry()
+    for stream in streams:
+        for name, amount, labels in stream:
+            registry.inc(name, amount, **labels)
+    return parse_exposition(render_prometheus(registry.snapshot()))
 
 
 def test_property_render_of_merge_sums_counter_lines():
-    """render(merge(a, b)) counter samples == summed samples of a and b."""
+    """Rendering one registry fed two increment streams gives the
+    summed counter samples of rendering each stream alone."""
     rnd = random.Random(20180418)
     for _ in range(25):
-        a, b = _random_snapshot(rnd), _random_snapshot(rnd)
-        merged = parse_exposition(render_prometheus(a.merge(b)))
-        left = parse_exposition(render_prometheus(a))
-        right = parse_exposition(render_prometheus(b))
+        a, b = _random_increments(rnd), _random_increments(rnd)
+        merged = _render(a, b)
+        left, right = _render(a), _render(b)
         summed = {
             key: left.get(key, 0) + right.get(key, 0)
             for key in set(left) | set(right)

@@ -97,30 +97,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.histogram("lat", bounds=COUNT_BOUNDS)
 
-    def test_absorb_merges_worker_snapshot(self):
-        worker = MetricsRegistry()
-        worker.inc("shards", 3)
-        worker.set_gauge("peak", 7)
-        worker.observe("lat", 0.01)
-        parent = MetricsRegistry()
-        parent.inc("shards", 1)
-        parent.set_gauge("peak", 2)
-        parent.observe("lat", 0.02)
-        parent.absorb(worker.snapshot())
-        snap = parent.snapshot()
-        assert snap.counter("shards") == 4
-        assert snap.gauge("peak") == 7  # gauges merge by max
-        assert snap.histogram_count("lat") == 2
-        assert snap.histograms["lat"]["min"] == 0.01
-        assert snap.histograms["lat"]["max"] == 0.02
-
-    def test_absorb_into_empty_registry(self):
-        worker = MetricsRegistry()
-        worker.observe("lat", 0.25)
-        parent = MetricsRegistry()
-        parent.absorb(worker.snapshot())
-        assert parent.snapshot() == worker.snapshot()
-
 
 class TestSnapshot:
     def _sample(self):
@@ -146,19 +122,6 @@ class TestSnapshot:
         data = self._sample().to_dict()
         assert data["version"] == 1
         assert list(data["counters"]) == sorted(data["counters"])
-
-    def test_merge_identity(self):
-        snap = self._sample()
-        assert MetricsSnapshot.empty().merge(snap) == snap
-        assert snap.merge(MetricsSnapshot.empty()) == snap
-
-    def test_merge_bounds_mismatch_rejected(self):
-        left = MetricsRegistry()
-        left.observe("lat", 0.5)
-        right = MetricsRegistry()
-        right.observe("lat", 2, bounds=COUNT_BOUNDS)
-        with pytest.raises(ValueError):
-            left.snapshot().merge(right.snapshot())
 
     def test_counter_total_prefix(self):
         snap = self._sample()

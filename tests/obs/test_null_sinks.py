@@ -36,7 +36,7 @@ CONTRACTS = [
         NULL_METRICS,
         MetricsRegistry(),
         ("counter", "gauge", "histogram", "inc", "set_gauge", "observe",
-         "snapshot", "absorb"),
+         "snapshot"),
     ),
     (NULL_EVENTS, EventLog(), ("emit", "tail", "close")),
     (NULL_TRACER, SpanTracer(), ("span", "current_context", "to_records")),
@@ -61,9 +61,6 @@ def test_null_metrics_records_nothing():
     NULL_METRICS.observe("h", 0.1, bounds=(1.0,), log="a")
     NULL_METRICS.counter("c2").inc()
     NULL_METRICS.histogram("h2", (1.0,)).observe(0.5)
-    worker = MetricsRegistry()
-    worker.inc("shards", 3)
-    NULL_METRICS.absorb(worker.snapshot())
     assert NULL_METRICS.snapshot() == MetricsSnapshot()
     assert len(NULL_METRICS) == 0
 

@@ -275,7 +275,8 @@ def test_trace_out_writes_span_tree_without_touching_stdout(capsys, tmp_path):
 
 
 def test_events_out_writes_live_jsonl(capsys, tmp_path):
-    from repro.obs import read_events, replay_counters
+    from repro.obs import read_events, replay_metrics
+    from tests.obs.derived import derived, families
 
     args = ("table2", "--scale", "0.0001", "--seed", "5")
     code, baseline = run_cli(capsys, *args)
@@ -297,12 +298,11 @@ def test_events_out_writes_live_jsonl(capsys, tmp_path):
     assert len({event["run"] for event in events}) == 1
     assert [event["seq"] for event in events] == list(range(len(events)))
     assert all(event["v"] == EVENT_SCHEMA_VERSION for event in events)
-    # The event stream replays to the snapshot's pipeline counters.
-    snap = MetricsSnapshot.from_json(metrics_path.read_text())
-    replayed = replay_counters(events)
-    for key, value in replayed.items():
-        if key.startswith("pipeline."):
-            assert snap.counters.get(key) == value, key
+    # The event stream replays to the snapshot: counters, gauges and
+    # histograms of every family the events derive.
+    snap = derived(MetricsSnapshot.from_json(metrics_path.read_text()))
+    assert derived(replay_metrics(events)) == snap
+    assert "pipeline.shard_seconds" in families(snap)
 
 
 def test_status_renders_verdicts_and_writes_json(capsys, tmp_path):
@@ -496,12 +496,13 @@ def test_lifecycle_replays_every_event_of_a_large_storm(capsys):
 
 
 def test_events_out_overwrites_like_every_other_out_file(capsys, tmp_path):
-    from repro.obs import read_events, replay_counters
+    from repro.obs import read_events, replay_metrics
+    from tests.obs.derived import derived
 
     events, metrics = tmp_path / "events.jsonl", tmp_path / "metrics.json"
     argv = ("--metrics-out", str(metrics), "--events-out", str(events))
     assert run_cli(capsys, "status", *argv)[0] == run_cli(capsys, "status", *argv)[0] == 0
-    replayed = replay_counters(read_events(events))
+    replayed = derived(replay_metrics(read_events(events)))
     assert [e["kind"] for e in read_events(events)].count("run_start") == 1
-    counters = MetricsSnapshot.from_json(metrics.read_text()).counters
-    assert replayed and {key: counters.get(key) for key in replayed} == replayed
+    assert replayed["counters"]
+    assert replayed == derived(MetricsSnapshot.from_json(metrics.read_text()))
